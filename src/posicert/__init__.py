@@ -10,17 +10,15 @@ from .gram import (
     ParityInfeasible,
     SupportInfeasible,
     build_gram_system,
-    monomial_basis,
     reconstruct,
 )
-from .sdp import SdpProblem, SdpSolution, min_eigenvalue, solve
+from .sdp import SdpProblem, SdpSolution, solve
 from .exact import (
     Certificate,
     CertificateBlock,
     SquareTerm,
     VerifyResult,
     exact_ldlt,
-    extract_sos,
     format_certificate,
     lift_certificate,
     parse_certificate,
@@ -63,12 +61,9 @@ __all__ = [
     "certify",
     "epsilon_margin",
     "exact_ldlt",
-    "extract_sos",
     "format_certificate",
     "format_polynomial",
     "lift_certificate",
-    "min_eigenvalue",
-    "monomial_basis",
     "odd_power",
     "parse_certificate",
     "parse_polynomial",

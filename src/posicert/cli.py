@@ -1,7 +1,7 @@
 """Command line interface.
 
     posicert certify   <problem-file> [--n-max K] [--tol T] [--denom-bound B]
-                       [--force] [--threads J] [--out cert-file] [--seed S] [--samples N]
+                       [--force] [--out cert-file] [--seed S] [--samples N]
     posicert check-sos <problem-file> [...]
     posicert odd-power <problem-file> [--m-max K] [...]
     posicert epsilon   <problem-file> [...]
@@ -9,7 +9,8 @@
     posicert dump-sdp  <problem-file> --n N [--out file]
 
 Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
-invalid), 2 counterexample found, 3 input error, 4 numerical failure.
+invalid), 2 counterexample found, 3 input error (including a polynomial text
+above the parser's degree cap, and dump-sdp on f = 0), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ def _add_search_arguments(sub, with_m_max=False):
         help="largest denominator bound of the rounding ladder",
     )
     sub.add_argument("--force", action="store_true", help="search even when the precheck objects")
-    sub.add_argument("--threads", type=int, default=1, help="evaluate exponents concurrently")
     sub.add_argument("--out", default=None, help="write the certificate to this file")
     sub.add_argument("--seed", type=int, default=0, help="precheck sampling seed")
     sub.add_argument("--samples", type=int, default=1000, help="precheck sample count")
@@ -101,7 +101,6 @@ def _run_search(args, command: str) -> int:
         options = SearchOptions(
             gap_tolerance=args.tol,
             denominator_bounds=_bounds_from_flag(args.denom_bound),
-            threads=max(1, args.threads),
         )
     except (OSError, ParseError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -176,10 +175,10 @@ def _run_dump(args) -> int:
             spec = parse_problem(fh.read())
         if args.n < 0:
             raise ParseError("--n must be nonnegative")
-    except (OSError, ParseError) as exc:
+        system = build_gram_system(spec.f, spec.g, args.n, spec.constraints, spec.grading)
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    system = build_gram_system(spec.f, spec.g, args.n, spec.constraints, spec.grading)
     if not isinstance(system, GramSystem):
         print(f"no system at n = {args.n}: {system.reason}")
         return EXIT_NOT_FOUND

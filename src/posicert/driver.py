@@ -18,7 +18,6 @@ guess can only lead to "not certified", never to a wrong certificate.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -73,8 +72,6 @@ class NumericalFailureError(RuntimeError):
 class SearchOptions:
     gap_tolerance: float = 1e-8
     denominator_bounds: tuple = DEFAULT_DENOMINATOR_BOUNDS
-    max_iterations: int = 100
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -311,7 +308,9 @@ def _exact_phase(system: GramSystem, q_float: dict, t_star: float, options: Sear
     if not isinstance(reduced, GramSystem):
         return None, attempts, f"{note}; kernel restriction infeasible"
     problem = system_to_sdp(reduced, margin=True)
-    solution = sdp.solve(problem, options.gap_tolerance, options.max_iterations)
+    solution = sdp.solve(problem, options.gap_tolerance)
+    if not solution.converged:  # no verdict, so t_star is no margin
+        return None, attempts, f"{note}; kernel-restricted solve {solution.status.replace('_', ' ')}"
     if solution.status != sdp.MARGIN_FEASIBLE:
         return None, attempts, f"{note}; kernel-restricted margin {solution.t_star:.2e}"
     rq_float = _gram_float(reduced, solution, solution.t_star)
@@ -329,6 +328,17 @@ def _exact_phase(system: GramSystem, q_float: dict, t_star: float, options: Sear
 # ---------------------------------------------------------------------------
 
 
+_OBSTRUCTION_STATUS = {ParityInfeasible: PARITY_INFEASIBLE, SupportInfeasible: SUPPORT_INFEASIBLE}
+_UNDECIDED = (BORDERLINE, ROUNDING_FAILED, MAX_ITERATIONS)
+
+
+def _obstruction(system, exponent: int) -> Optional[ScanRecord]:
+    """The record of an exact parity/support obstruction, or None for a system."""
+    if isinstance(system, GramSystem):
+        return None
+    return ScanRecord(exponent, _OBSTRUCTION_STATUS[type(system)], note=system.reason)
+
+
 def _attempt(
     f: Polynomial,
     g: Polynomial,
@@ -341,17 +351,16 @@ def _attempt(
     """Build, solve, and (when numerically feasible) exactly certify one n."""
     meta = dict(variables=variables, f=f, g=g, constraints=constraints, n=exponent)
     system = build_gram_system(f, g, exponent, constraints, grading)
-    if isinstance(system, ParityInfeasible):
-        return ScanRecord(exponent, PARITY_INFEASIBLE, note=system.reason), None
-    if isinstance(system, SupportInfeasible):
-        return ScanRecord(exponent, SUPPORT_INFEASIBLE, note=system.reason), None
+    obstruction = _obstruction(system, exponent)
+    if obstruction is not None:
+        return obstruction, None
 
     problem = system_to_sdp(system)
-    solution = sdp.solve(problem, options.gap_tolerance, options.max_iterations)
+    solution = sdp.solve(problem, options.gap_tolerance)
     if solution.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"SDP solver failed at exponent {exponent}")
     if solution.status == sdp.BORDERLINE:
-        tightened = sdp.solve(problem, TIGHT_GAP_TOLERANCE, options.max_iterations)
+        tightened = sdp.solve(problem, TIGHT_GAP_TOLERANCE)
         if tightened.converged:
             solution = tightened
 
@@ -371,47 +380,43 @@ def _attempt(
     q_float = _gram_float(system, solution, shift)
     cert, attempts, note = _exact_phase(system, q_float, solution.t_star, options, meta)
     if cert is not None:
-        return (
-            ScanRecord(
-                exponent,
-                CERTIFIED,
-                t_star=solution.t_star,
-                rounding_attempts=attempts,
-                note=note_prefix + note,
-            ),
-            cert,
-        )
-    failed_status = BORDERLINE if solution.status == sdp.BORDERLINE else ROUNDING_FAILED
-    return (
-        ScanRecord(
-            exponent,
-            failed_status,
-            t_star=solution.t_star,
-            rounding_attempts=attempts,
-            note=note_prefix + note,
-        ),
-        None,
+        status = CERTIFIED
+    else:
+        status = BORDERLINE if solution.status == sdp.BORDERLINE else ROUNDING_FAILED
+    record = ScanRecord(
+        exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note_prefix + note
     )
+    return record, cert
 
 
-def _finish_report(mode, results, bound, warnings):
-    """Join-then-select: the outcome is the smallest certified exponent."""
-    certified_at = next((i for i, (_, cert) in enumerate(results) if cert is not None), None)
-    if certified_at is not None:
-        results = results[: certified_at + 1]
-    records = [rec for rec, _ in results]
-    certificate = results[certified_at][1] if certified_at is not None else None
-    unresolved = [
-        rec.exponent
-        for rec in records
-        if rec.status in (BORDERLINE, ROUNDING_FAILED, MAX_ITERATIONS)
-    ]
-    if certificate is not None:
+def _scan(mode: str, exponents, bound: int, step, warnings=()) -> SearchReport:
+    """The one scan loop over the exponents, each tried by step(e).
+
+    step returns (record, certificate or None, certified epsilon or None).
+    The scan stops at the first certificate, except in epsilon-margin mode,
+    which scans every exponent and keeps the largest certified epsilon (the
+    first one on a tie).
+    """
+    records = []
+    best = None  # (certificate, epsilon, exponent)
+    for e in exponents:
+        record, cert, eps = step(e)
+        records.append(record)
+        if cert is None:
+            continue
+        if mode != "epsilon-margin":
+            best = (cert, None, None)
+            break
+        if best is None or eps > best[1]:
+            best = (cert, eps, e)
+    unresolved = [rec.exponent for rec in records if rec.status in _UNDECIDED]
+    if best is not None:
         outcome = OUTCOME_CERTIFICATE
     elif unresolved:
         outcome = OUTCOME_UNKNOWN
     else:
         outcome = OUTCOME_NOT_FOUND
+    certificate, epsilon, epsilon_exponent = best or (None, None, None)
     return SearchReport(
         mode=mode,
         records=records,
@@ -419,7 +424,9 @@ def _finish_report(mode, results, bound, warnings):
         certificate=certificate,
         bound=bound,
         unresolved=unresolved,
-        warnings=warnings,
+        epsilon=epsilon,
+        epsilon_exponent=epsilon_exponent,
+        warnings=list(warnings),
     )
 
 
@@ -440,7 +447,6 @@ def certify(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Searc
         constraints, ns, mode = (), [0], "check-sos"
     else:
         constraints, ns, mode = spec.constraints, list(range(spec.n_max + 1)), "certify"
-    warnings = []
     if spec.f.is_zero():
         empty = Certificate(
             variables=spec.variables,
@@ -451,26 +457,18 @@ def certify(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Searc
             n=0,
             blocks=(),
         )
-        return SearchReport(mode, [ScanRecord(0, CERTIFIED, note="zero target")],
-                            OUTCOME_CERTIFICATE, empty, bound=ns[-1], warnings=warnings)
+        zero_target = ScanRecord(0, CERTIFIED, note="zero target")
+        return _scan(mode, [0], ns[-1], lambda n: (zero_target, empty, None))
+    warnings = []
     if not spec.g.is_zero() and spec.g.total_degree() == 0 and len(ns) > 1:
         warnings.append("g is constant: higher powers only rescale the target, scanning n = 0 only")
         ns = [0]
 
-    def attempt(n):
-        return _attempt(spec.f, spec.g, constraints, spec.grading, spec.variables, n, options)
+    def step(n):
+        rec, cert = _attempt(spec.f, spec.g, constraints, spec.grading, spec.variables, n, options)
+        return rec, cert, None
 
-    if options.threads > 1 and len(ns) > 1:
-        with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            results = list(pool.map(attempt, ns))
-    else:
-        results = []
-        for n in ns:
-            rec, cert = attempt(n)
-            results.append((rec, cert))
-            if cert is not None:
-                break
-    return _finish_report(mode, results, ns[-1], warnings)
+    return _scan(mode, ns, ns[-1], step, warnings)
 
 
 def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
@@ -479,21 +477,17 @@ def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Sea
     if spec.m_max < 1 or spec.m_max % 2 == 0:
         raise ValueError("m_max must be an odd positive integer")
     one = Polynomial.one(len(spec.variables))
-    results = []
-    for m in range(1, spec.m_max + 1, 2):
-        rec, cert = _attempt(
-            spec.f**m, one, (), spec.grading, spec.variables, 0, options
-        )
-        rec = replace(rec, exponent=m)
+
+    def step(m):
+        rec, cert = _attempt(spec.f**m, one, (), spec.grading, spec.variables, 0, options)
         if cert is not None:
             cert = replace(cert, f=spec.f, g=spec.f, n=m - 1)
             check = verify_certificate(cert)
             if not check.valid:
                 raise AssertionError(f"odd-power certificate failed re-verification: {check.reason}")
-        results.append((rec, cert))
-        if cert is not None:
-            break
-    return _finish_report("odd-power", results, spec.m_max, [])
+        return replace(rec, exponent=m), cert, None
+
+    return _scan("odd-power", range(1, spec.m_max + 1, 2), spec.m_max, step)
 
 
 def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
@@ -518,24 +512,20 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
         )
     one = Polynomial.one(len(spec.variables))
     h_sq = spec.h_margin * spec.h_margin
-    records = []
-    best = None
-    for n in range(spec.n_max + 1):
+
+    def step(n):
+        def no_certificate(status, t_star=None, note=""):
+            return ScanRecord(n, status, t_star=t_star, note=note), None, None
+
         target = spec.f * spec.g ** (n + 1)
         system = build_gram_system(target, one, 0, (), spec.grading)
-        if isinstance(system, ParityInfeasible):
-            records.append(ScanRecord(n, PARITY_INFEASIBLE, note=system.reason))
-            continue
-        if isinstance(system, SupportInfeasible):
-            records.append(ScanRecord(n, SUPPORT_INFEASIBLE, note=system.reason))
-            continue
+        obstruction = _obstruction(system, n)
+        if obstruction is not None:
+            return obstruction, None, None
         eps_poly = spec.g**n * h_sq
         achievable = {c.monomial for c in system.constraints}
         if not set(eps_poly.terms) <= achievable:
-            records.append(
-                ScanRecord(n, SUPPORT_INFEASIBLE, note="h^2 support not reachable at this degree")
-            )
-            continue
+            return no_certificate(SUPPORT_INFEASIBLE, note="h^2 support not reachable at this degree")
         column = {
             k: eps_poly.coefficient(con.monomial)
             for k, con in enumerate(system.constraints)
@@ -543,59 +533,26 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
         }
         indep, inconsistent = _independent_with_columns(system, [column])
         if inconsistent is not None:
-            records.append(ScanRecord(n, SUPPORT_INFEASIBLE, note="system inconsistent with margin column"))
-            continue
+            return no_certificate(SUPPORT_INFEASIBLE, note="system inconsistent with margin column")
         problem = system_to_sdp(system, margin=False, extra_columns=[column], row_indices=indep)
-        solution = sdp.solve(problem, options.gap_tolerance, options.max_iterations)
+        solution = sdp.solve(problem, options.gap_tolerance)
         if solution.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"SDP solver failed in epsilon stage at n={n}")
-        if not solution.converged:
-            records.append(ScanRecord(n, MAX_ITERATIONS, t_star=solution.t_star))
-            continue
         eps_star = solution.t_star
+        if not solution.converged:
+            return no_certificate(MAX_ITERATIONS, eps_star)
         if eps_star <= 10 * options.gap_tolerance:
-            records.append(
-                ScanRecord(n, MARGIN_NEGATIVE, t_star=eps_star, note="epsilon shrinks to zero")
-            )
-            continue
+            return no_certificate(MARGIN_NEGATIVE, eps_star, "epsilon shrinks to zero")
         eps_cert = _shrink_rationalize(eps_star)
         if eps_cert <= 0:
-            records.append(ScanRecord(n, ROUNDING_FAILED, t_star=eps_star, note="epsilon rationalized to zero"))
-            continue
+            return no_certificate(ROUNDING_FAILED, eps_star, "epsilon rationalized to zero")
         rec, cert = _attempt(
-            spec.g * spec.f - eps_cert * h_sq,
-            spec.g,
-            (),
-            spec.grading,
-            spec.variables,
-            n,
-            options,
+            spec.g * spec.f - eps_cert * h_sq, spec.g, (), spec.grading, spec.variables, n, options
         )
         note = f"epsilon* = {eps_star:.3e}, certified epsilon = {eps_cert}"
-        rec = replace(rec, note=(rec.note + "; " if rec.note else "") + note)
-        records.append(rec)
-        if cert is not None and (best is None or eps_cert > best[0]):
-            best = (eps_cert, n, cert)
-    if best is not None:
-        eps_cert, n, cert = best
-        return SearchReport(
-            mode="epsilon-margin",
-            records=records,
-            outcome=OUTCOME_CERTIFICATE,
-            certificate=cert,
-            bound=spec.n_max,
-            epsilon=eps_cert,
-            epsilon_exponent=n,
-        )
-    unresolved = [r.exponent for r in records if r.status in (BORDERLINE, ROUNDING_FAILED, MAX_ITERATIONS)]
-    return SearchReport(
-        mode="epsilon-margin",
-        records=records,
-        outcome=OUTCOME_UNKNOWN if unresolved else OUTCOME_NOT_FOUND,
-        certificate=None,
-        bound=spec.n_max,
-        unresolved=unresolved,
-    )
+        return replace(rec, note=(rec.note + "; " if rec.note else "") + note), cert, eps_cert
+
+    return _scan("epsilon-margin", range(spec.n_max + 1), spec.n_max, step)
 
 
 def _shrink_rationalize(value: float) -> Fraction:

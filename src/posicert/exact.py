@@ -166,12 +166,6 @@ def combine_squares(lower, diag, generators: Sequence[Polynomial]):
     return tuple(out)
 
 
-def extract_sos(lower, diag, basis, n_vars: int):
-    """combine_squares over a monomial basis (exponent vectors)."""
-    gens = [Polynomial.monomial(n_vars, ev) for ev in basis]
-    return combine_squares(lower, diag, gens)
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

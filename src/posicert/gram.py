@@ -169,17 +169,6 @@ def exact_degree_monomials(grading: Grading, block_degrees: Sequence[int]) -> li
     return _cross_block_monomials(grading, per_block)
 
 
-def bounded_degree_monomials(grading: Grading, block_bounds: Sequence[int]) -> list:
-    """All monomials with per-block total degree <= the bounds, grlex sorted."""
-    per_block = []
-    for block, bound in zip(grading.blocks, block_bounds):
-        collected = []
-        for d in range(bound + 1):
-            collected.extend(_compositions(d, len(block)))
-        per_block.append(collected)
-    return _cross_block_monomials(grading, per_block)
-
-
 def monomials_up_to(n_vars: int, max_total: int) -> list:
     """All monomials of total degree <= max_total, grlex sorted."""
     out = []
@@ -221,25 +210,6 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
             return tuple(basis)
         gone = set(removable)
         basis = [b for b in basis if b not in gone]
-
-
-def monomial_basis(
-    n_vars: int,
-    grading: Grading,
-    target_multidegree: Sequence[int],
-    support_hint,
-    prune: bool = True,
-) -> tuple:
-    """Basis of a block whose squares must reach the given even multidegree.
-
-    Candidates are all monomials of per-block degree up to half the target;
-    for a homogeneous support the pruning fixpoint cuts them back down to the
-    exact-degree slice.
-    """
-    if any(d < 0 or d % 2 for d in target_multidegree):
-        raise ValueError(f"target multidegree {tuple(target_multidegree)} must be even and nonnegative")
-    candidates = bounded_degree_monomials(grading, [d // 2 for d in target_multidegree])
-    return prune_basis(candidates, support_hint if prune else None)
 
 
 # ---------------------------------------------------------------------------

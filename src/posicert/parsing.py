@@ -10,7 +10,8 @@ Polynomial grammar (whitespace insensitive):
     name     := [a-zA-Z][a-zA-Z0-9_]*
 
 Parenthesized subexpressions are expanded eagerly, so the result is always
-a plain term map.  Division only appears inside rational coefficients.
+a plain term map.  Division only appears inside rational coefficients.  No
+product or power may expand past total degree MAX_DEGREE.
 
 Problem documents are line oriented, ``key = value``, with ``#`` comments:
 
@@ -42,6 +43,10 @@ NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 TOKEN_RE = re.compile(r"\s*(?:(?P<name>[a-zA-Z][a-zA-Z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()]))")
 
 MODES = ("certify", "check-sos", "odd-power", "epsilon-margin")
+
+# Largest total degree a product or power may expand to; a number raised to
+# the k-th power counts as degree k, so 9^99999999 is refused like x^99999999.
+MAX_DEGREE = 20
 
 
 class ParseError(ValueError):
@@ -97,53 +102,62 @@ class _ExprParser:
     def parse(self) -> Polynomial:
         if not self.tokens:
             raise ParseError("empty polynomial expression")
-        p = self.expr()
+        p, _ = self.expr()
         kind, val = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected trailing {val!r}")
         return p
 
-    def expr(self) -> Polynomial:
+    # Each method returns (polynomial, degree bound): the total degree the
+    # expression would have with every power of a number counted as a power
+    # of a variable.  Products and powers are refused before they expand
+    # past MAX_DEGREE.
+
+    def expr(self):
         sign = 1
         kind, val = self.peek()
         if kind == "op" and val in "+-":
             self.take()
             sign = -1 if val == "-" else 1
-        total = self.term() * sign
+        total, degree = self.term()
+        total = total * sign
         while True:
             kind, val = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                t = self.term()
+                t, t_degree = self.term()
                 total = total + (t if val == "+" else -t)
+                degree = max(degree, t_degree)
             else:
-                return total
+                return total, degree
 
-    def term(self) -> Polynomial:
-        product = self.factor()
+    def term(self):
+        product, degree = self.factor()
         while True:
             kind, val = self.peek()
+            # '*' or juxtaposition: 2x^2y, 3(x+y)
             if kind == "op" and val == "*":
                 self.take()
-                product = product * self.factor()
-            elif kind == "name" or (kind == "op" and val == "("):
-                # juxtaposition: 2x^2y, 3(x+y)
-                product = product * self.factor()
-            else:
-                return product
+            elif not (kind == "name" or (kind == "op" and val == "(")):
+                return product, degree
+            other, other_degree = self.factor()
+            degree = _capped(degree + other_degree)
+            product = product * other
 
-    def factor(self) -> Polynomial:
-        base = self.atom()
+    def factor(self):
+        base, degree = self.atom()
         kind, val = self.peek()
         if kind == "op" and val == "^":
             self.take()
             kind, val = self.take()
             if kind != "num":
                 raise ParseError(f"malformed exponent: expected a nonnegative integer, found {val!r}")
-            base = base ** int(val)
-        return base
+            exponent = int(val)
+            degree = _capped(max(degree, 1) * exponent)
+            base = base**exponent
+        return base, degree
 
-    def atom(self) -> Polynomial:
+    def atom(self):
         kind, val = self.take()
         if kind == "num":
             numerator = int(val)
@@ -155,12 +169,12 @@ class _ExprParser:
                     raise ParseError("malformed rational: denominator must be an integer")
                 if int(v3) == 0:
                     raise ParseError("malformed rational: zero denominator")
-                return Polynomial.constant(self.n, Fraction(numerator, int(v3)))
-            return Polynomial.constant(self.n, numerator)
+                return Polynomial.constant(self.n, Fraction(numerator, int(v3))), 0
+            return Polynomial.constant(self.n, numerator), 0
         if kind == "name":
             if val not in self.index:
                 raise ParseError(f"unknown variable {val!r}")
-            return Polynomial.variable(self.n, self.index[val])
+            return Polynomial.variable(self.n, self.index[val]), 1
         if kind == "op" and val == "(":
             inner = self.expr()
             kind, val = self.take()
@@ -170,6 +184,12 @@ class _ExprParser:
         if kind is None:
             raise ParseError("unexpected end of expression")
         raise ParseError(f"unexpected {val!r}")
+
+
+def _capped(degree: int) -> int:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"expression degree {degree} exceeds the parser's limit of {MAX_DEGREE}")
+    return degree
 
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:

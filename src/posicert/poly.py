@@ -126,10 +126,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def as_float_dict(self) -> dict:
-        """Round-to-nearest-double view of the coefficients."""
-        return {ev: float(c) for ev, c in self._terms.items()}
-
     # -- ring operations ----------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:

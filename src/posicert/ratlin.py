@@ -12,15 +12,28 @@ from math import lcm
 from typing import Optional, Sequence
 
 
-def row_reduce(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
-    """Incremental elimination over the rationals.
+def _subtract_row(row: dict, factor: Fraction, prow: dict, skip) -> None:
+    """row -= factor * prow in place over every column but `skip`; zeros drop out."""
+    for c, v in prow.items():
+        if c == skip:
+            continue
+        s = row.get(c, Fraction(0)) - factor * v
+        if s:
+            row[c] = s
+        elif c in row:
+            del row[c]
 
-    Returns (independent, inconsistent): the indices of rows forming a
-    maximal independent subset (in input order), and the index of the first
-    row that reduces to 0 = nonzero, or None.  Dependent-but-consistent rows
-    are simply dropped from `independent`.
+
+def _eliminate(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
+    """Sparse forward elimination, pivoting each row on its smallest column.
+
+    Returns (pivots, independent, inconsistent): pivots maps a pivot column
+    to its normalized row dict and right-hand side, independent lists the
+    indices of the pivot rows in input order, and inconsistent is the index
+    of the first row that reduces to 0 = nonzero (elimination stops there),
+    or None.
     """
-    pivots = {}  # column -> (normalized row dict, normalized rhs)
+    pivots = {}
     independent = []
     for idx, row in enumerate(rows):
         work = dict(row)
@@ -30,14 +43,7 @@ def row_reduce(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
             if col in pivots:
                 prow, pval = pivots[col]
                 factor = work.pop(col)
-                for c, v in prow.items():
-                    if c == col:
-                        continue
-                    s = work.get(c, Fraction(0)) - factor * v
-                    if s:
-                        work[c] = s
-                    elif c in work:
-                        del work[c]
+                _subtract_row(work, factor, prow, col)
                 val -= factor * pval
             else:
                 lead = work[col]
@@ -47,46 +53,32 @@ def row_reduce(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
                 break
         else:
             if val != 0:
-                return independent, idx
-    return independent, None
+                return pivots, independent, idx
+    return pivots, independent, None
+
+
+def row_reduce(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
+    """Incremental elimination over the rationals.
+
+    Returns (independent, inconsistent): the indices of rows forming a
+    maximal independent subset (in input order), and the index of the first
+    row that reduces to 0 = nonzero, or None.  Dependent-but-consistent rows
+    are simply dropped from `independent`.
+    """
+    _, independent, inconsistent = _eliminate(rows, rhs)
+    return independent, inconsistent
 
 
 def nullspace(rows: Sequence[dict], n_cols: int) -> list:
     """Exact basis of {x : A x = 0} as dense Fraction vectors."""
-    pivots = {}
-    for row in rows:
-        work = dict(row)
-        while work:
-            col = min(work)
-            if col in pivots:
-                factor = work.pop(col)
-                for c, v in pivots[col].items():
-                    if c == col:
-                        continue
-                    s = work.get(c, Fraction(0)) - factor * v
-                    if s:
-                        work[c] = s
-                    elif c in work:
-                        del work[c]
-            else:
-                lead = work[col]
-                pivots[col] = {c: v / lead for c, v in work.items()}
-                break
+    pivots = {col: prow for col, (prow, _) in _eliminate(rows)[0].items()}
     # back-substitute pivot rows against each other
     for col in sorted(pivots, reverse=True):
         prow = pivots[col]
         for other_col, orow in pivots.items():
             if other_col == col or col not in orow:
                 continue
-            factor = orow.pop(col)
-            for c, v in prow.items():
-                if c == col:
-                    continue
-                s = orow.get(c, Fraction(0)) - factor * v
-                if s:
-                    orow[c] = s
-                elif c in orow:
-                    del orow[c]
+            _subtract_row(orow, orow.pop(col), prow, col)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for free in free_cols:

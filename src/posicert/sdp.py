@@ -85,16 +85,6 @@ class SdpSolution:
         return self.status in (MARGIN_FEASIBLE, MARGIN_NEGATIVE, BORDERLINE)
 
 
-def min_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (LAPACK symmetric solver)."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if m.shape[0] and np.max(np.abs(m - m.T)) > 1e-12:
-        raise ValueError("matrix is not symmetric within 1e-12")
-    return float(np.linalg.eigvalsh((m + m.T) / 2.0)[0])
-
-
 def _boundary_step(blocks: Sequence[np.ndarray], directions: Sequence[np.ndarray]) -> float:
     """Largest alpha with every block + alpha*direction still PSD."""
     alpha = np.inf

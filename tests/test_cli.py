@@ -87,6 +87,20 @@ def test_dump_sdp(tmp_path, capsys):
     assert text.count("constraint ") == 3
 
 
+def test_dump_sdp_zero_target_is_input_error(tmp_path, capsys):
+    problem = tmp_path / "zero.txt"
+    problem.write_text('vars = x, y\nf = "0"\n')
+    assert cli.main(["dump-sdp", str(problem), "--n", "0"]) == 3
+    assert "input error: target polynomial is zero" in capsys.readouterr().err
+
+
+def test_degree_cap_is_input_error(tmp_path, capsys):
+    problem = tmp_path / "huge.txt"
+    problem.write_text('f = "(x+y+1)^120"\n')
+    assert cli.main(["check-sos", str(problem)]) == 3
+    assert "degree" in capsys.readouterr().err
+
+
 def test_n_max_flag_overrides(capsys):
     code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), "--force", "--n-max", "0"])
     assert code == 1  # not found up to 0: the n = 1 certificate is out of reach

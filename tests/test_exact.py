@@ -17,7 +17,6 @@ from posicert.exact import (
     combine_squares,
     correction_norm,
     exact_ldlt,
-    extract_sos,
     format_certificate,
     lift_certificate,
     parse_certificate,
@@ -206,10 +205,13 @@ class TestExactLdlt:
                 assert not verdict
 
 
+MONOMIALS_XY = [Polynomial.monomial(2, (1, 0)), Polynomial.monomial(2, (0, 1))]
+
+
 class TestExtractSos:
     def test_identity_gram(self):
         lower, diag = exact_ldlt(frac_matrix([[1, 0], [0, 1]]))
-        squares = extract_sos(lower, diag, [(1, 0), (0, 1)], 2)
+        squares = combine_squares(lower, diag, MONOMIALS_XY)
         polys = {format(sq.poly) for sq in squares}
         assert all(sq.weight == 1 for sq in squares)
         total = Polynomial.zero(2)
@@ -219,14 +221,14 @@ class TestExtractSos:
 
     def test_rank_one_gram(self):
         lower, diag = exact_ldlt(frac_matrix([[1, 1], [1, 1]]))
-        squares = extract_sos(lower, diag, [(1, 0), (0, 1)], 2)
+        squares = combine_squares(lower, diag, MONOMIALS_XY)
         assert len(squares) == 1
         assert squares[0].weight == 1
         assert squares[0].poly == parse_polynomial("x + y", XY)
 
     def test_diagonal_quarters(self):
         lower, diag = exact_ldlt(frac_matrix([[F(1, 4), 0], [0, F(1, 4)]]))
-        squares = extract_sos(lower, diag, [(1, 0), (0, 1)], 2)
+        squares = combine_squares(lower, diag, MONOMIALS_XY)
         assert [sq.weight for sq in squares] == [F(1, 4), F(1, 4)]
 
 

@@ -11,7 +11,6 @@ from posicert.gram import (
     ParityInfeasible,
     SupportInfeasible,
     build_gram_system,
-    monomial_basis,
     monomials_up_to,
     prune_basis,
     reconstruct,
@@ -26,26 +25,27 @@ XY = ["x", "y"]
 class TestMonomialBasis:
     def test_univariate_constant_pruned(self):
         # target x^4 + x^2: nothing needs the constant, and 0 = 0+0 only
-        basis = monomial_basis(1, Grading.single(1), (4,), {(4,), (2,)})
+        basis = prune_basis(monomials_up_to(1, 2), {(4,), (2,)})
         assert basis == ((1,), (2,))
 
     def test_univariate_constant_kept(self):
         # target x^4 + 1: x survives since x^2 = 0 + 2 is pair-expressible
-        basis = monomial_basis(1, Grading.single(1), (4,), {(4,), (0,)})
+        basis = prune_basis(monomials_up_to(1, 2), {(4,), (0,)})
         assert basis == ((0,), (1,), (2,))
 
     def test_two_vars_full_support(self):
         support = {(2, 0), (1, 1), (0, 2)}
-        basis = monomial_basis(2, Grading.single(2), (2,), support)
+        basis = prune_basis(monomials_up_to(2, 1), support)
         assert basis == ((0, 1), (1, 0))
 
     def test_odd_multidegree_rejected(self):
-        with pytest.raises(ValueError):
-            monomial_basis(1, Grading.single(1), (3,), set())
+        # no square has odd degree: the assembly refuses before any basis
+        f = parse_polynomial("x^3", ["x"])
+        system = build_gram_system(f, Polynomial.one(1), 0, (), Grading.single(1))
+        assert isinstance(system, ParityInfeasible)
 
     def test_no_pruning_keeps_candidates(self):
-        basis = monomial_basis(1, Grading.single(1), (4,), {(4,)}, prune=False)
-        assert basis == ((0,), (1,), (2,))
+        assert prune_basis(monomials_up_to(1, 2), None) == ((0,), (1,), (2,))
 
 
 def test_prune_basis_fixpoint_is_stable():

@@ -1,6 +1,7 @@
 """Grammar, canonical formatting, and problem-document parsing."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posicert.parsing import (
+    MAX_DEGREE,
     ParseError,
     format_polynomial,
     parse_polynomial,
@@ -79,6 +81,20 @@ class TestParsePolynomial:
     def test_division_by_variable_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("x/2", XY)
+
+    def test_degree_cap_refuses_before_expanding(self):
+        # expanded, the first would not finish and the second would not fit
+        for text in ("(x+y+1)^120", "9^99999999", "(9^5)^5", "(x+y)^11*(x-y)^10"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="degree"):
+                parse_polynomial(text, XY)
+            assert time.perf_counter() - start < 1.0
+
+    def test_degree_cap_is_inclusive(self):
+        assert parse_polynomial(f"(x+y)^{MAX_DEGREE}", XY).total_degree() == MAX_DEGREE
+        assert parse_polynomial(f"x^{MAX_DEGREE - 1}*2^1", XY).total_degree() == MAX_DEGREE - 1
+        with pytest.raises(ParseError, match="degree"):
+            parse_polynomial(f"x^{MAX_DEGREE}*y", XY)
 
 
 class TestFormatPolynomial:

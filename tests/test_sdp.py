@@ -2,7 +2,6 @@
 weak duality along the iterates, and determinism."""
 
 import numpy as np
-import pytest
 
 from posicert import sdp
 
@@ -90,34 +89,6 @@ def test_single_threaded_determinism():
         assert np.array_equal(a, b)
     for a, b in zip(first.s_blocks, second.s_blocks):
         assert np.array_equal(a, b)
-
-
-class TestMinEigenvalue:
-    def test_identity(self):
-        assert sdp.min_eigenvalue(np.eye(3)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal(self):
-        assert sdp.min_eigenvalue(np.diag([3.0, -1.0])) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rank_one(self):
-        assert sdp.min_eigenvalue(np.ones((2, 2))) == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            sdp.min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_accuracy_bound(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            d = int(rng.integers(2, 9))
-            raw = rng.normal(size=(d, d))
-            mat = (raw + raw.T) / 2.0
-            w = sdp.min_eigenvalue(mat)
-            norm = float(np.linalg.norm(mat, 2))
-            # Rayleigh check: some unit vector attains the reported value
-            vals, vecs = np.linalg.eigh(mat)
-            v = vecs[:, 0]
-            assert abs(float(v @ mat @ v) - w) <= 1e-10 * (1 + norm)
 
 
 def test_debug_dump_round_trips_floats():
