@@ -45,7 +45,6 @@ from .parsing import ProblemSpec
 from .poly import Grading, Polynomial
 
 DEFAULT_DENOMINATOR_BOUNDS = (10**2, 10**4, 10**8, 10**12)
-TIGHT_GAP_TOLERANCE = 1e-10
 KERNEL_EIGENVALUE_CUT = 1e-5
 KERNEL_ROUNDING_DENOMINATORS = (8, 64, 1024)
 
@@ -355,27 +354,13 @@ def _attempt(
     if obstruction is not None:
         return obstruction, None
 
-    problem = system_to_sdp(system)
-    solution = sdp.solve(problem, options.gap_tolerance)
+    solution = sdp.solve(system_to_sdp(system), options.gap_tolerance)
     if solution.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"SDP solver failed at exponent {exponent}")
-    if solution.status == sdp.BORDERLINE:
-        tightened = sdp.solve(problem, TIGHT_GAP_TOLERANCE)
-        if tightened.converged:
-            solution = tightened
+    if solution.status in (sdp.MARGIN_NEGATIVE, sdp.MAX_ITERATIONS):  # record statuses of the same names
+        return ScanRecord(exponent, solution.status, t_star=solution.t_star), None
 
-    if solution.status == sdp.MARGIN_NEGATIVE:
-        return ScanRecord(exponent, MARGIN_NEGATIVE, t_star=solution.t_star), None
-
-    note_prefix = ""
-    if solution.status == sdp.MAX_ITERATIONS:
-        if solution.gap > 1e-4:
-            return ScanRecord(
-                exponent, MAX_ITERATIONS, t_star=solution.t_star, note="no usable iterate"
-            ), None
-        note_prefix = "weakly converged; "
-
-    # margin_feasible, borderline, or a usable max_iterations iterate: round.
+    # margin_feasible or borderline: round.
     shift = solution.t_star if solution.status == sdp.MARGIN_FEASIBLE else max(solution.t_star, 0.0)
     q_float = _gram_float(system, solution, shift)
     cert, attempts, note = _exact_phase(system, q_float, solution.t_star, options, meta)
@@ -383,10 +368,7 @@ def _attempt(
         status = CERTIFIED
     else:
         status = BORDERLINE if solution.status == sdp.BORDERLINE else ROUNDING_FAILED
-    record = ScanRecord(
-        exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note_prefix + note
-    )
-    return record, cert
+    return ScanRecord(exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note), cert
 
 
 def _scan(mode: str, exponents, bound: int, step, warnings=()) -> SearchReport:

@@ -16,9 +16,12 @@ from typing import Mapping, Optional, Sequence
 from .gram import GramSystem
 from .parsing import (
     ParseError,
+    bracketed_items,
     format_monomial,
     format_polynomial,
+    parse_monomial_sum,
     parse_polynomial,
+    parse_polynomial_list,
     read_key_values,
     split_top_level,
     _unquote,
@@ -396,14 +399,7 @@ def parse_certificate(document: str) -> Certificate:
     )
     f = parse_polynomial(_unquote(header["f"]), names)
     g = parse_polynomial(_unquote(header["g"]), names)
-    constraints = []
-    if "h" in header:
-        inner = header["h"].strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ParseError("h: expected a bracketed list")
-        body = inner[1:-1].strip()
-        if body:
-            constraints = [parse_polynomial(_unquote(s), names) for s in split_top_level(body)]
+    constraints = parse_polynomial_list(header.get("h", "[]"), names, "h: expected a bracketed list")
     n = _parse_int(header["N"], "N")
     margin = float(header["margin"]) if "margin" in header else None
     denominator_bound = (
@@ -421,33 +417,22 @@ def parse_certificate(document: str) -> Certificate:
         product_index = tuple(int(x) for x in inner.split(",") if x.strip()) if inner else ()
         if any(e not in (0, 1) for e in product_index):
             raise ParseError(f"e: entries must be 0 or 1, found {product_index}")
+        # basis and square texts are sums of monomials as format_polynomial
+        # writes them, so a lifted certificate of any degree reads back
         basis = []
-        basis_txt = raw.get("basis", "[]").strip()
-        if not (basis_txt.startswith("[") and basis_txt.endswith("]")):
-            raise ParseError("basis: expected a bracketed list")
-        body = basis_txt[1:-1].strip()
-        if body:
-            for mono_txt in split_top_level(body):
-                p = parse_polynomial(mono_txt, names)
-                if len(p) != 1 or set(p.terms.values()) != {Fraction(1)}:
-                    raise ParseError(f"basis: {mono_txt!r} is not a monomial")
-                basis.append(next(iter(p.terms)))
+        for mono_txt in bracketed_items(raw.get("basis", "[]"), "basis: expected a bracketed list"):
+            p = parse_monomial_sum(mono_txt, names)
+            if len(p) != 1 or set(p.terms.values()) != {Fraction(1)}:
+                raise ParseError(f"basis: {mono_txt!r} is not a monomial")
+            basis.append(next(iter(p.terms)))
         squares = []
-        squares_txt = raw.get("squares", "[]").strip()
-        if not (squares_txt.startswith("[") and squares_txt.endswith("]")):
-            raise ParseError("squares: expected a bracketed list")
-        body = squares_txt[1:-1].strip()
-        if body:
-            for pair_txt in split_top_level(body):
-                pair_txt = pair_txt.strip()
-                if not (pair_txt.startswith("(") and pair_txt.endswith(")")):
-                    raise ParseError(f"squares: expected (weight, \"poly\") pairs, found {pair_txt!r}")
-                parts = split_top_level(pair_txt[1:-1])
-                if len(parts) != 2:
-                    raise ParseError(f"squares: expected (weight, \"poly\") pairs, found {pair_txt!r}")
-                weight = _parse_fraction(parts[0], "squares")
-                poly = parse_polynomial(_unquote(parts[1]), names)
-                squares.append(SquareTerm(weight=weight, poly=poly))
+        for pair_txt in bracketed_items(raw.get("squares", "[]"), "squares: expected a bracketed list"):
+            parts = split_top_level(pair_txt[1:-1])
+            if not (pair_txt.startswith("(") and pair_txt.endswith(")")) or len(parts) != 2:
+                raise ParseError(f"squares: expected (weight, \"poly\") pairs, found {pair_txt!r}")
+            weight = _parse_fraction(parts[0], "squares")
+            poly = parse_monomial_sum(_unquote(parts[1]), names)
+            squares.append(SquareTerm(weight=weight, poly=poly))
         blocks.append(
             CertificateBlock(product_index=product_index, basis=tuple(basis), squares=tuple(squares))
         )

@@ -11,7 +11,9 @@ Polynomial grammar (whitespace insensitive):
 
 Parenthesized subexpressions are expanded eagerly, so the result is always
 a plain term map.  Division only appears inside rational coefficients.  No
-product or power may expand past total degree MAX_DEGREE.
+product or power may expand past total degree MAX_DEGREE.  A canonical sum of
+monomials, as format_polynomial writes it, expands nothing: parse_monomial_sum
+reads one with no degree cap and refuses parentheses and powers of numbers.
 
 Problem documents are line oriented, ``key = value``, with ``#`` comments:
 
@@ -79,12 +81,13 @@ def _tokenize(text: str):
 
 
 class _ExprParser:
-    def __init__(self, tokens, variables: Sequence[str]):
+    def __init__(self, tokens, variables: Sequence[str], monomial_sum: bool):
         self.tokens = tokens
         self.pos = 0
         self.variables = list(variables)
         self.index = {name: i for i, name in enumerate(variables)}
         self.n = len(self.variables)
+        self.monomial_sum = monomial_sum
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -111,7 +114,12 @@ class _ExprParser:
     # Each method returns (polynomial, degree bound): the total degree the
     # expression would have with every power of a number counted as a power
     # of a variable.  Products and powers are refused before they expand
-    # past MAX_DEGREE.
+    # past MAX_DEGREE, except in a sum of monomials, where they expand nothing.
+
+    def capped(self, degree: int) -> int:
+        if degree > MAX_DEGREE and not self.monomial_sum:
+            raise ParseError(f"expression degree {degree} exceeds the parser's limit of {MAX_DEGREE}")
+        return degree
 
     def expr(self):
         sign = 1
@@ -141,7 +149,7 @@ class _ExprParser:
             elif not (kind == "name" or (kind == "op" and val == "(")):
                 return product, degree
             other, other_degree = self.factor()
-            degree = _capped(degree + other_degree)
+            degree = self.capped(degree + other_degree)
             product = product * other
 
     def factor(self):
@@ -152,8 +160,10 @@ class _ExprParser:
             kind, val = self.take()
             if kind != "num":
                 raise ParseError(f"malformed exponent: expected a nonnegative integer, found {val!r}")
+            if self.monomial_sum and degree == 0:
+                raise ParseError("a sum of monomials has no powers of numbers")
             exponent = int(val)
-            degree = _capped(max(degree, 1) * exponent)
+            degree = self.capped(max(degree, 1) * exponent)
             base = base**exponent
         return base, degree
 
@@ -176,6 +186,8 @@ class _ExprParser:
                 raise ParseError(f"unknown variable {val!r}")
             return Polynomial.variable(self.n, self.index[val]), 1
         if kind == "op" and val == "(":
+            if self.monomial_sum:
+                raise ParseError("a sum of monomials has no parentheses")
             inner = self.expr()
             kind, val = self.take()
             if kind != "op" or val != ")":
@@ -186,21 +198,28 @@ class _ExprParser:
         raise ParseError(f"unexpected {val!r}")
 
 
-def _capped(degree: int) -> int:
-    if degree > MAX_DEGREE:
-        raise ParseError(f"expression degree {degree} exceeds the parser's limit of {MAX_DEGREE}")
-    return degree
-
-
-def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
-    """Parse an expression over the declared variables into canonical form."""
+def _parse(text: str, variables: Sequence[str], monomial_sum: bool) -> Polynomial:
     if not variables:
         raise ParseError("no variables declared")
     for name in variables:
         if not NAME_RE.fullmatch(name):
             raise ParseError(f"invalid variable name {name!r}")
-    tokens = _tokenize(text)
-    return _ExprParser(tokens, variables).parse()
+    return _ExprParser(_tokenize(text), variables, monomial_sum).parse()
+
+
+def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
+    """Parse an expression over the declared variables into canonical form."""
+    return _parse(text, variables, monomial_sum=False)
+
+
+def parse_monomial_sum(text: str, variables: Sequence[str]) -> Polynomial:
+    """Parse a sum of monomial terms such as format_polynomial writes.
+
+    Every product in such a text multiplies single terms, so nothing expands
+    and MAX_DEGREE does not apply; parentheses and powers of numbers, which
+    would expand, are refused.
+    """
+    return _parse(text, variables, monomial_sum=True)
 
 
 def format_polynomial(p: Polynomial, variables: Optional[Sequence[str]] = None) -> str:
@@ -315,6 +334,21 @@ def _unquote(value: str) -> str:
     return value
 
 
+def bracketed_items(value: str, error: str) -> list:
+    """The top-level items of a '[a, b, ...]' list, stripped; error is the
+    message for a value that is not bracketed."""
+    value = value.strip()
+    if not (value.startswith("[") and value.endswith("]")):
+        raise ParseError(error)
+    inner = value[1:-1].strip()
+    return [item.strip() for item in split_top_level(inner)] if inner else []
+
+
+def parse_polynomial_list(value: str, variables: Sequence[str], error: str) -> list:
+    """The polynomials of a bracketed list of quoted texts, '["p", "q"]'."""
+    return [parse_polynomial(_unquote(text), variables) for text in bracketed_items(value, error)]
+
+
 def _parse_bool(value: str, key: str) -> bool:
     v = value.strip().lower()
     if v in ("true", "yes", "1"):
@@ -391,23 +425,13 @@ def parse_problem(document: str) -> ProblemSpec:
     if "f" not in values:
         raise ParseError("missing f")
 
-    h_texts = []
-    if "h" in values:
-        v = values["h"].strip()
-        if not (v.startswith("[") and v.endswith("]")):
-            raise ParseError("h: expected a bracketed list of polynomial strings")
-        inner = v[1:-1].strip()
-        if inner:
-            h_texts = [_unquote(s) for s in split_top_level(inner)]
-
     if "vars" in values:
         variables = [n.strip() for n in values["vars"].split(",") if n.strip()]
         if not variables:
             raise ParseError("vars: empty variable list")
     else:
-        pool = [_unquote(values["f"])] + [_unquote(values.get("g", ""))] + h_texts
-        pool.append(_unquote(values.get("h_margin", "")))
-        variables = _infer_variables([t for t in pool if t])
+        # names in order of first appearance; quotes and brackets hold none
+        variables = _infer_variables([values.get(key, "") for key in ("f", "g", "h", "h_margin")])
         if not variables:
             raise ParseError("vars: no variables declared or inferable")
     for name in variables:
@@ -425,7 +449,9 @@ def parse_problem(document: str) -> ProblemSpec:
         if "g" in values
         else sum_of_squared_variables(n)
     )
-    constraints = tuple(parse_polynomial(t, variables) for t in h_texts)
+    constraints = tuple(
+        parse_polynomial_list(values.get("h", "[]"), variables, "h: expected a bracketed list of polynomial strings")
+    )
     if len(constraints) > 16:
         raise ParseError(f"h: at most 16 constraints supported, found {len(constraints)}")
     if any(h.is_zero() for h in constraints):

@@ -5,6 +5,8 @@ import pathlib
 import pytest
 
 from posicert import cli
+from posicert.exact import format_certificate, lift_certificate, parse_certificate
+from posicert.parsing import MAX_DEGREE
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
@@ -99,6 +101,21 @@ def test_degree_cap_is_input_error(tmp_path, capsys):
     problem.write_text('f = "(x+y+1)^120"\n')
     assert cli.main(["check-sos", str(problem)]) == 3
     assert "degree" in capsys.readouterr().err
+
+
+def test_verify_reads_back_a_lifted_certificate_past_the_degree_cap(tmp_path, capsys):
+    out = tmp_path / "perturbed.cert"
+    assert cli.main(["certify", str(PROBLEMS / "perturbed_motzkin.txt"), "--force", "--out", str(out)]) == 0
+    cert = parse_certificate(out.read_text())
+    for _ in range(9):
+        cert = lift_certificate(cert)
+    degree = max(sq.poly.total_degree() for block in cert.blocks for sq in block.squares)
+    assert cert.n == 18 and degree > MAX_DEGREE
+    lifted = tmp_path / "lifted.cert"
+    lifted.write_text(format_certificate(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", str(lifted)]) == 0
+    assert "Valid" in capsys.readouterr().out
 
 
 def test_n_max_flag_overrides(capsys):

@@ -17,7 +17,7 @@ from posicert.driver import (
     system_to_sdp,
 )
 from posicert.exact import lift_certificate, verify_certificate
-from posicert.gram import GramSystem, build_gram_system, build_reduced_system
+from posicert.gram import GramSystem, build_gram_system, build_reduced_system, monomials_up_to
 from posicert.parsing import parse_polynomial, parse_problem
 from posicert.poly import Grading, Polynomial, sum_of_squared_variables
 
@@ -280,6 +280,35 @@ def test_monotonicity_lift_through_driver():
     lifted = lift_certificate(cert)
     assert lifted.n == cert.n + 2
     assert verify_certificate(lifted).valid
+
+
+def test_slowly_converging_sum_of_squares_certifies():
+    # the solve first moves away from its best early residual and converges
+    # only after more than ten further iterations
+    rng = random.Random("stall:46")
+    total = Polynomial.zero(3)
+    for _ in range(4):
+        q = Polynomial(3, {ev: Fraction(rng.randint(-3, 3)) for ev in monomials_up_to(3, 3)})
+        total = total + q * q
+    spec = dataclasses.replace(make_spec("1", XYZ, mode="check-sos"), f=total)
+    report = certify(spec)
+    assert report.outcome == driver.OUTCOME_CERTIFICATE, report.records
+    assert verify_certificate(report.certificate).valid
+
+
+def test_one_solve_per_exponent(monkeypatch):
+    # Motzkin times g has margin zero: its one solve ends borderline and the
+    # first rung of the ladder certifies from it
+    calls = []
+    solve = sdp.solve
+    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    spec = make_spec(
+        "(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2)*(x^2 + y^2 + z^2)", XYZ, mode="check-sos"
+    )
+    report = certify(spec)
+    assert report.outcome == driver.OUTCOME_CERTIFICATE
+    assert [rec.status for rec in report.records] == [driver.CERTIFIED]
+    assert len(calls) == 1
 
 
 def test_solver_does_not_claim_inconsistent_systems():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -376,6 +377,18 @@ class TestCertificateFiles:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError):
             parse_certificate("vars = x\nf = \"x^2\"\ng = \"x^2\"\nN = 0\nwat = 1")
+
+    def test_expanding_texts_refused_at_once(self):
+        header = 'vars = x, y\ng = "x^2"\nN = 0\n'
+        for doc in (
+            header + 'f = "(x+y+1)^120"\n',
+            header + 'f = "x^2"\ne = ()\nbasis = [x]\nsquares = [(1, "(x+y+1)^120")]\n',
+            header + 'f = "x^2"\ne = ()\nbasis = [x]\nsquares = [(1, "9^99999999*x")]\n',
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_certificate(doc)
+            assert time.perf_counter() - start < 1.0
 
     def test_section_before_e_rejected(self):
         text = 'vars = x\nf = "x^2"\ng = "x^2"\nN = 0\nbasis = [x]'

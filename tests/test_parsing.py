@@ -12,6 +12,7 @@ from posicert.parsing import (
     MAX_DEGREE,
     ParseError,
     format_polynomial,
+    parse_monomial_sum,
     parse_polynomial,
     parse_problem,
 )
@@ -95,6 +96,16 @@ class TestParsePolynomial:
         assert parse_polynomial(f"x^{MAX_DEGREE - 1}*2^1", XY).total_degree() == MAX_DEGREE - 1
         with pytest.raises(ParseError, match="degree"):
             parse_polynomial(f"x^{MAX_DEGREE}*y", XY)
+
+    def test_monomial_sum_is_uncapped_and_expands_nothing(self):
+        p = parse_monomial_sum("-3/4*x^30*y + x^2 - 1", XY)
+        assert p.total_degree() == 31 > MAX_DEGREE
+        assert format_polynomial(p, XY) == "-3/4*x^30*y + x^2 - 1"
+        for text in ("(x+y+1)^120", "9^99999999", "2*(x+y)"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="sum of monomials"):
+                parse_monomial_sum(text, XY)
+            assert time.perf_counter() - start < 1.0
 
 
 class TestFormatPolynomial:
