@@ -29,7 +29,6 @@ from .exact import (
     Certificate,
     InconsistentSystemError,
     certificate_from_gram,
-    correction_norm,
     project_to_constraints,
     round_to_rational,
     verify_certificate,
@@ -285,11 +284,6 @@ def _round_and_certify(system, q_float, bounds, meta, margin_value):
             if not result.valid:  # construction bug, not an input condition
                 raise AssertionError(f"assembled certificate failed verification: {result.reason}")
             return cert, attempts, ""
-        # When the correction exceeds half the margin the rounding was too
-        # coarse for the interior argument; finer bounds shrink it.
-        if margin_value and margin_value > 0:
-            if correction_norm(q_rat, q_proj, system) > margin_value / 2:
-                continue
     return None, attempts, "not PSD at any denominator bound"
 
 

@@ -106,15 +106,6 @@ def project_to_constraints(q_matrices: Mapping, system: GramSystem):
     return system.unflatten(q)
 
 
-def correction_norm(before: Mapping, after: Mapping, system: GramSystem) -> float:
-    """Frobenius norm of the projection correction, as a float."""
-    total = Fraction(0)
-    for (b, i, j) in system.unknown_layout:
-        d = Fraction(after[b][i][j]) - Fraction(before[b][i][j])
-        total += (d * d) * (1 if i == j else 2)
-    return float(total) ** 0.5
-
-
 # ---------------------------------------------------------------------------
 # rational LDL' and square extraction
 # ---------------------------------------------------------------------------
@@ -227,6 +218,25 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
                     False,
                     f"square {k} in block e={block.product_index} leaves the declared basis",
                 )
+
+    # deg(f*g^n) = deg f + n*deg g for nonzero f and g; bound the squares
+    # side's degree first, so that no large n is expanded in vain
+    if not (cert.f.is_zero() or cert.g.is_zero()):
+        target_degree = cert.f.total_degree() + cert.n * cert.g.total_degree()
+        squares_degree = None
+        for block in cert.blocks:
+            h_degree = sum(
+                h.total_degree() for h, e in zip(cert.constraints, block.product_index) if e and not h.is_zero()
+            )
+            for square in block.squares:
+                if not square.poly.is_zero():
+                    degree = 2 * square.poly.total_degree() + h_degree
+                    squares_degree = degree if squares_degree is None else max(squares_degree, degree)
+        if squares_degree is None or target_degree > squares_degree:
+            side = "is zero" if squares_degree is None else f"has degree at most {squares_degree}"
+            return VerifyResult(
+                False, f"degree mismatch: f*g^N has degree {target_degree}, the squares side {side}"
+            )
 
     lhs = cert.f * cert.g**cert.n
     rhs = Polynomial.zero(n_vars)
@@ -401,6 +411,8 @@ def parse_certificate(document: str) -> Certificate:
     g = parse_polynomial(_unquote(header["g"]), names)
     constraints = parse_polynomial_list(header.get("h", "[]"), names, "h: expected a bracketed list")
     n = _parse_int(header["N"], "N")
+    if n < 0:
+        raise ParseError(f"N: must be nonnegative, found {n}")
     margin = float(header["margin"]) if "margin" in header else None
     denominator_bound = (
         _parse_int(header["denominator_bound"], "denominator_bound")

@@ -249,25 +249,16 @@ def _assemble(target: Polynomial, grading: Grading, blocks, generators):
     )
     system = GramSystem(target, grading, tuple(blocks), tuple(generators), constraints, ())
 
-    active = system.active_indices
-    monomial_generators = all(
-        len(g) == 1 for b in active for g in generators[b]
-    )
-    if len(active) == 1 and blocks[active[0]].multiplier == Polynomial.one(target.n_vars) and monomial_generators:
-        # each unknown appears in exactly one row: rows are independent
-        independent = tuple(range(len(constraints)))
-    else:
-        sparse = [system.row_sparse(k) for k in range(len(constraints))]
-        rhs = [c.rhs for c in constraints]
-        indep, inconsistent = ratlin.row_reduce(sparse, rhs)
-        if inconsistent is not None:
-            ev = constraints[inconsistent].monomial
-            return SupportInfeasible(
-                reason=f"exact constraint system is inconsistent (first at monomial {ev})",
-                monomial=ev,
-            )
-        independent = tuple(indep)
-    system.independent = independent
+    sparse = [system.row_sparse(k) for k in range(len(constraints))]
+    rhs = [c.rhs for c in constraints]
+    independent, inconsistent = ratlin.row_reduce(sparse, rhs)
+    if inconsistent is not None:
+        ev = constraints[inconsistent].monomial
+        return SupportInfeasible(
+            reason=f"exact constraint system is inconsistent (first at monomial {ev})",
+            monomial=ev,
+        )
+    system.independent = tuple(independent)
     return system
 
 

@@ -1,14 +1,17 @@
 """Exact rational linear algebra for small dense/sparse systems.
 
-Rows of sparse systems are dicts mapping column index -> Fraction; dense
-systems are lists of Fraction lists.  Everything here is exact; the sizes
-are desk scale (a few hundred rows at most).
+One kernel does all the elimination: `_eliminate` reduces sparse rows
+(dicts mapping column index -> Fraction), pivoting each on its smallest
+column, and `_back_substitute` solves the reduced rows for given values of
+the free columns.  `row_reduce` keeps the first, `nullspace` and
+`solve_dense` use both; a dense matrix (a list of Fraction lists) enters as
+sparse rows.  Everything here is exact; the sizes are desk scale (a few
+hundred rows at most).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 
@@ -57,6 +60,22 @@ def _eliminate(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
     return pivots, independent, None
 
 
+def _back_substitute(pivots: dict, x: list) -> list:
+    """Set x at every pivot column, in descending order, from its reduced row.
+
+    x holds the values of the free columns on entry.  A pivot row has its 1
+    at its own column and other entries only at larger columns, which are
+    free or already set.
+    """
+    for col in sorted(pivots, reverse=True):
+        prow, val = pivots[col]
+        for c, v in prow.items():
+            if c != col:
+                val -= v * x[c]
+        x[col] = val
+    return x
+
+
 def row_reduce(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
     """Incremental elimination over the rationals.
 
@@ -70,58 +89,32 @@ def row_reduce(rows: Sequence[dict], rhs: Optional[Sequence[Fraction]] = None):
 
 
 def nullspace(rows: Sequence[dict], n_cols: int) -> list:
-    """Exact basis of {x : A x = 0} as dense Fraction vectors."""
-    pivots = {col: prow for col, (prow, _) in _eliminate(rows)[0].items()}
-    # back-substitute pivot rows against each other
-    for col in sorted(pivots, reverse=True):
-        prow = pivots[col]
-        for other_col, orow in pivots.items():
-            if other_col == col or col not in orow:
-                continue
-            _subtract_row(orow, orow.pop(col), prow, col)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    """Exact basis of {x : A x = 0} as dense Fraction vectors.
+
+    One vector per free (non-pivot) column, in ascending order: 1 at its
+    own free column and 0 at the other free columns.
+    """
+    pivots = _eliminate(rows)[0]
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for col, prow in pivots.items():
-            vec[col] = -prow.get(free, Fraction(0))
-        basis.append(vec)
+    for free in range(n_cols):
+        if free not in pivots:
+            x = [Fraction(0)] * n_cols
+            x[free] = Fraction(1)
+            basis.append(_back_substitute(pivots, x))
     return basis
 
 
 def solve_dense(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list:
     """Solve a square nonsingular system exactly.
 
-    Rows are scaled to integers, eliminated fraction-free (Bareiss), then
-    back-substituted.  Raises ValueError on a singular matrix.
+    The rows are eliminated as sparse rows, so a diagonal or banded matrix
+    costs what its nonzeros do.  Raises ValueError on a singular matrix.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve_dense expects a square system")
-    aug = []
-    for row, b in zip(matrix, rhs):
-        entries = [Fraction(v) for v in row] + [Fraction(b)]
-        scale = lcm(*(v.denominator for v in entries)) if entries else 1
-        aug.append([int(v * scale) for v in entries])
-
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                aug[i][j] = (aug[i][j] * aug[k][k] - aug[i][k] * aug[k][j]) // prev
-            aug[i][k] = 0
-        prev = aug[k][k]
-
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * x[j]
-        x[i] = acc / aug[i][i]
-    return x
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
+    pivots, independent, _ = _eliminate(rows, rhs)
+    if len(independent) < n:
+        raise ValueError("singular matrix")
+    return _back_substitute(pivots, [Fraction(0)] * n)

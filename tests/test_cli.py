@@ -118,6 +118,31 @@ def test_verify_reads_back_a_lifted_certificate_past_the_degree_cap(tmp_path, ca
     assert "Valid" in capsys.readouterr().out
 
 
+def _circle_certificate(tmp_path, n):
+    """x^2 + y^2 = x^2 + y^2 claimed at N = n with g = x^2 + y^2; valid only at n = 0."""
+    doc = (
+        'vars = x, y\nf = "x^2 + y^2"\ng = "x^2 + y^2"\nh = []\n'
+        f'N = {n}\ne = ()\nbasis = [x, y]\nsquares = [(1, "x"), (1, "y")]\n'
+    )
+    path = tmp_path / f"circle_{n}.cert"
+    path.write_text(doc)
+    return path
+
+
+def test_verify_negative_exponent_is_input_error(tmp_path, capsys):
+    assert cli.main(["verify", str(_circle_certificate(tmp_path, 0))]) == 0
+    capsys.readouterr()
+    assert cli.main(["verify", str(_circle_certificate(tmp_path, -1))]) == 3
+    assert "N: must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_unreachable_degree_before_expanding(tmp_path, capsys):
+    # expanding g^3000 takes more than 20 s; its degree alone rules the identity out
+    assert cli.main(["verify", str(_circle_certificate(tmp_path, 3000))]) == 1
+    out = capsys.readouterr().out
+    assert "Invalid" in out and "degree 6002" in out and "at most 2" in out
+
+
 def test_n_max_flag_overrides(capsys):
     code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), "--force", "--n-max", "0"])
     assert code == 1  # not found up to 0: the n = 1 certificate is out of reach

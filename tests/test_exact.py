@@ -16,7 +16,6 @@ from posicert.exact import (
     SquareTerm,
     certificate_from_gram,
     combine_squares,
-    correction_norm,
     exact_ldlt,
     format_certificate,
     lift_certificate,
@@ -417,11 +416,3 @@ def test_certificate_from_gram_and_rounding_ladder():
             return
     pytest.fail("no bound in the ladder certified an interior instance")
 
-
-def test_correction_norm_matches_hand_value():
-    system = circle_system()
-    before = {0: frac_matrix([[1, 0], [0, 1]])}
-    after = {0: frac_matrix([[F(3, 2), F(1, 2)], [F(1, 2), 1]])}
-    # diff diag 1/2 on one entry, off-diagonal 1/2 doubled
-    expected = (F(1, 4) + 2 * F(1, 4)) ** F(1)
-    assert correction_norm(before, after, system) == pytest.approx(float(expected) ** 0.5)

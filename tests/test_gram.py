@@ -187,6 +187,21 @@ def test_any_exact_solution_reconstructs_target():
             assert reconstruct(system, perturbed) == target
 
 
+def test_unconstrained_monomial_rows_are_all_independent():
+    # no unknown is shared between rows, so elimination pivots every row
+    rng = random.Random(17)
+    targets = [random_square_sum(rng, n_vars, 2, 3)[0] for n_vars in (1, 2, 3) for _ in range(3)]
+    motzkin = parse_polynomial("x^4*y^2 + x^2*y^4 - 3*x^2*y^2*z^2 + z^6", ["x", "y", "z"])
+    targets += [motzkin * sum_of_squared_variables(3) ** k for k in range(4)]
+    for target in targets:
+        if target.is_zero():
+            continue
+        n_vars = target.n_vars
+        system = build_gram_system(target, Polynomial.one(n_vars), 0, (), Grading.single(n_vars))
+        assert isinstance(system, GramSystem)
+        assert system.independent == tuple(range(len(system.constraints)))
+
+
 def test_pruning_preserves_feasibility_verdict():
     # 50 random small instances: the margin sign agrees with pruning on/off
     rng = random.Random(99)

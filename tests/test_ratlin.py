@@ -13,6 +13,13 @@ def test_solve_dense_known_system():
     b = [Fraction(5), Fraction(10)]
     x = ratlin.solve_dense(a, b)
     assert x == [Fraction(1), Fraction(3)]
+    # diagonal with large denominators: the projection's normal matrix on
+    # unconstrained monomial systems
+    rng = random.Random(7)
+    diag = [Fraction(rng.randint(1, 10**30), rng.randint(1, 10**30)) for _ in range(40)]
+    a = [[d if i == j else Fraction(0) for j in range(40)] for i, d in enumerate(diag)]
+    b = [Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)) for _ in range(40)]
+    assert ratlin.solve_dense(a, b) == [bi / di for bi, di in zip(b, diag)]
 
 
 def test_solve_dense_random_exact():
@@ -31,8 +38,10 @@ def test_solve_dense_random_exact():
 
 def test_solve_dense_singular():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    with pytest.raises(ValueError, match="singular"):
-        ratlin.solve_dense(a, [Fraction(1), Fraction(2)])
+    # consistent, and inconsistent (elimination stops at the second row)
+    for rhs in ([Fraction(1), Fraction(2)], [Fraction(1), Fraction(3)]):
+        with pytest.raises(ValueError, match="singular"):
+            ratlin.solve_dense(a, rhs)
 
 
 def test_row_reduce_drops_consistent_dependents():
@@ -60,8 +69,17 @@ def test_nullspace_exact():
             row = {j: Fraction(rng.randint(-3, 3)) for j in range(n_cols)}
             rows.append({j: v for j, v in row.items() if v})
         basis = ratlin.nullspace(rows, n_cols)
-        rank = len(ratlin.row_reduce(rows)[0])
-        assert len(basis) == n_cols - rank
+
+        def rank(width):
+            return len(ratlin.row_reduce([{j: c for j, c in row.items() if j < width} for row in rows])[0])
+
+        assert len(basis) == n_cols - rank(n_cols)
         for vec in basis:
             for row in rows:
                 assert sum(c * vec[j] for j, c in row.items()) == 0
+        # canonical form: column j is free when it depends on the columns
+        # before it; each vector has 1 at its own free column, 0 at the others
+        free = [j for j in range(n_cols) if rank(j + 1) == rank(j)]
+        assert len(basis) == len(free)
+        for vec, own in zip(basis, free):
+            assert [vec[j] for j in free] == [Fraction(j == own) for j in free]
