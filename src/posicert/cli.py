@@ -91,6 +91,8 @@ def _run_search(args, command: str) -> int:
             if args.n_max < 0:
                 raise ParseError("--n-max must be nonnegative")
             spec = replace(spec, n_max=args.n_max)
+        if args.samples < 0:
+            raise ParseError("--samples must be nonnegative")
         if command == "odd-power" and args.m_max is not None:
             if args.m_max < 1 or args.m_max % 2 == 0:
                 raise ParseError("--m-max must be an odd positive integer")

@@ -579,38 +579,45 @@ def _grid_points(n_vars: int):
         yield combo
 
 
+def _sample_points(n_vars: int, samples: int, graded: bool, seed: int):
+    """The precheck's sample points in draw order, drawn one at a time."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        vec = [Fraction(rng.gauss(0.0, 1.0)).limit_denominator(10**4) for _ in range(n_vars)]
+        if all(v == 0 for v in vec):
+            continue
+        yield tuple(vec)
+        if not graded:
+            yield tuple(v / 4 for v in vec)
+            yield tuple(4 * v for v in vec)
+    yield from _grid_points(n_vars)
+
+
 def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -> PrecheckResult:
     """Sample for sign violations of f and g on the constraint set.
 
-    Homogeneous inputs are sampled by normalized Gaussian draws (sign on the
-    sphere equals sign on rays) plus a deterministic grid on the parameter
-    cube; points violating some h_i >= 0 are discarded.  A strictly negative
-    value is a genuine counterexample to the search hypothesis; an exact zero
-    only violates strictness and the search may still be forced.
+    The points are ``samples`` Gaussian draws v, not normalized, with each
+    coordinate rounded to a denominator of at most 10^4: for a graded f the
+    sign on a ray is the sign anywhere on it, and a non-graded f is also
+    tried at v/4 and 4v.  A deterministic grid on the parameter cube
+    follows.  Points are drawn one at a time, and the first strictly
+    negative value ends the sampling.  Points violating some h_i >= 0 are
+    discarded; every value is exact (see ``Polynomial.evaluate``).  A
+    strictly negative value is a genuine counterexample to the search
+    hypothesis; an exact zero only violates strictness and the search may
+    still be forced.
     """
-    rng = random.Random(seed)
     n = len(spec.variables)
     try:
         graded = spec.f.multidegree(spec.grading) is not None
     except ValueError:
         graded = False
 
-    points = []
-    for _ in range(samples):
-        vec = [Fraction(rng.gauss(0.0, 1.0)).limit_denominator(10**4) for _ in range(n)]
-        if all(v == 0 for v in vec):
-            continue
-        points.append(tuple(vec))
-        if not graded:
-            points.append(tuple(v / 4 for v in vec))
-            points.append(tuple(4 * v for v in vec))
-    points.extend(_grid_points(n))
-
     negative = None
     zero = None
     kept = 0
     total = 0
-    for point in points:
+    for point in _sample_points(n, samples, graded, seed):
         total += 1
         if all(v == 0 for v in point):
             continue

@@ -196,6 +196,20 @@ class VerifyResult:
         return self.valid
 
 
+def _format_coefficient(c: Fraction) -> str:
+    """``str(c)``, but a numerator or denominator of more than 40 digits is
+    shown by its digit count: ``str`` refuses integers past 4300 digits, and
+    ``g^N`` reaches them at a moderate N when g is a constant."""
+
+    def part(k: int) -> str:
+        digits = int((k.bit_length() - 1) * 0.30102999566398120) + 1 if k else 1
+        digits += k >= 10**digits  # the estimate is low by at most one
+        return str(k) if digits <= 40 else f"<{digits} digits>"
+
+    text = ("-" if c < 0 else "") + part(abs(c.numerator))
+    return text if c.denominator == 1 else f"{text}/{part(c.denominator)}"
+
+
 def verify_certificate(cert: Certificate) -> VerifyResult:
     """Re-prove the identity from scratch in exact arithmetic.
 
@@ -256,7 +270,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         return VerifyResult(
             False,
             f"coefficient mismatch at monomial {mono}: "
-            f"target has {lhs.coefficient(ev)}, squares give {rhs.coefficient(ev)}",
+            f"target has {_format_coefficient(lhs.coefficient(ev))}, "
+            f"squares give {_format_coefficient(rhs.coefficient(ev))}",
         )
     return VerifyResult(True)
 

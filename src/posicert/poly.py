@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -57,7 +58,7 @@ class Grading:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_n_vars", "_terms", "_hash")
+    __slots__ = ("_n_vars", "_terms", "_hash", "_integer_form")
 
     def __init__(self, n_vars: int, terms: Mapping = ()):
         if n_vars <= 0:
@@ -80,6 +81,7 @@ class Polynomial:
         self._n_vars = n_vars
         self._terms = clean
         self._hash = None
+        self._integer_form = None
 
     # -- constructors -------------------------------------------------
 
@@ -221,18 +223,46 @@ class Polynomial:
         return None
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        Computed in integers: the coefficients are scaled once to integers
+        ``C`` over their common denominator ``D`` (kept in a cache), the point
+        is put over one common denominator ``d`` as integers ``a``, and the
+        value is ``sum C * prod a_i^e_i * d^(deg - |e|)`` over ``D * d^deg``,
+        a single ``Fraction`` built at the end.
+        """
         if len(point) != self._n_vars:
             raise ValueError(f"point has length {len(point)}, expected {self._n_vars}")
+        if self._integer_form is None:
+            self._integer_form = self._scale_to_integers()
+        degree, denominator, terms = self._integer_form
         values = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for ev, c in self._terms.items():
-            term = c
-            for v, e in zip(values, ev):
-                if e:
-                    term *= v**e
+        d = lcm(*(v.denominator for v in values))
+        scaled = [v.numerator * (d // v.denominator) for v in values]
+        powers = [[a**k for k in range(degree + 1)] for a in scaled]
+        d_powers = [d**k for k in range(degree + 1)]
+        total = 0
+        for c, deficit, factors in terms:
+            term = c * d_powers[deficit]
+            for i, e in factors:
+                term *= powers[i][e]
             total += term
-        return total
+        return Fraction(total, denominator * d_powers[degree])
+
+    def _scale_to_integers(self):
+        # (degree, D, terms): one term (C, degree - |e|, ((i, e_i) for e_i > 0))
+        # per monomial x^e, with C = c*D an integer
+        degree = max((sum(ev) for ev in self._terms), default=0)
+        denominator = lcm(*(c.denominator for c in self._terms.values()))
+        terms = tuple(
+            (
+                c.numerator * (denominator // c.denominator),
+                degree - sum(ev),
+                tuple((i, e) for i, e in enumerate(ev) if e),
+            )
+            for ev, c in self._terms.items()
+        )
+        return degree, denominator, terms
 
     # -- equality / hashing -------------------------------------------
 
@@ -265,6 +295,7 @@ class Polynomial:
         p._n_vars = n_vars
         p._terms = terms
         p._hash = None
+        p._integer_form = None
         return p
 
 

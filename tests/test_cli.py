@@ -143,6 +143,26 @@ def test_verify_rejects_an_unreachable_degree_before_expanding(tmp_path, capsys)
     assert "Invalid" in out and "degree 6002" in out and "at most 2" in out
 
 
+def test_verify_reports_a_coefficient_too_long_to_print(tmp_path, capsys):
+    # 2^20000 * (x^2 + y^2) against x^2 + y^2: the degrees agree, the
+    # coefficients do not, and 2^20000 has more digits than str() allows
+    doc = (
+        'vars = x, y\nf = "x^2 + y^2"\ng = "2"\nh = []\n'
+        'N = 20000\ne = ()\nbasis = [x, y]\nsquares = [(1, "x"), (1, "y")]\n'
+    )
+    path = tmp_path / "constant_g.cert"
+    path.write_text(doc)
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "coefficient mismatch at monomial x^2: target has <6021 digits>, squares give 1" in out
+
+
+def test_negative_samples_is_input_error(capsys):
+    code = cli.main(["check-sos", str(PROBLEMS / "constrained_example.txt"), "--samples", "-5"])
+    assert code == 3
+    assert "--samples must be nonnegative" in capsys.readouterr().err
+
+
 def test_n_max_flag_overrides(capsys):
     code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), "--force", "--n-max", "0"])
     assert code == 1  # not found up to 0: the n = 1 certificate is out of reach

@@ -222,6 +222,13 @@ class TestPrecheck:
         b = positivity_precheck(spec, samples=300, seed=7)
         assert a == b
 
+    def test_points_are_drawn_one_at_a_time(self):
+        # a list of 10^12 draws could never be built; the stream yields at once
+        points = driver._sample_points(2, 10**12, graded=False, seed=0)
+        v, quarter, four_v, w = (next(points) for _ in range(4))
+        assert quarter == tuple(c / 4 for c in v) and four_v == tuple(4 * c for c in v)
+        assert w != v
+
 
 class TestKernelRestriction:
     def test_boundary_instance_reduces_and_certifies(self):

@@ -197,6 +197,43 @@ def test_evaluate_is_ring_homomorphism(p, q, point):
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
 
 
+def reference_value(p, point):
+    # plain Fraction term sum, independent of evaluate's integer form
+    total = Fraction(0)
+    for ev, c in p.terms.items():
+        term = c
+        for v, e in zip(point, ev):
+            term *= Fraction(v) ** e
+        total += term
+    return total
+
+
+mixed_coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(lambda f: f != 0)
+mixed_coordinates = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=1000),
+)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_evaluate_matches_fraction_term_sum(data):
+    n = data.draw(st.integers(1, 3))
+    monomials = st.tuples(*([st.integers(0, 5)] * n))
+    p, q = (
+        Polynomial(n, data.draw(st.dictionaries(monomials, mixed_coefficients, max_size=8)))
+        for _ in range(2)
+    )
+    k = data.draw(st.integers(0, 3))
+    point = data.draw(st.tuples(*([mixed_coordinates] * n)))
+    # __init__ builds p and q; +, -, * and ** go through _raw
+    for r in (p, q, p + q, p - q, -q, p * q, q * Fraction(-3, 7), q**k):
+        expected = reference_value(r, point)
+        assert r.evaluate(point) == expected
+        assert r.evaluate(point) == expected  # again, from the cached integer form
+
+
 @given(polynomials(n_vars=2, max_terms=3), polynomials(n_vars=2, max_terms=3))
 @settings(max_examples=100)
 def test_multidegree_additive_on_graded(p, q):
