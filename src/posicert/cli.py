@@ -93,6 +93,8 @@ def _run_search(args, command: str) -> int:
             spec = replace(spec, n_max=args.n_max)
         if args.samples < 0:
             raise ParseError("--samples must be nonnegative")
+        if not 0.0 < args.tol < 1.0:  # also rejects nan
+            raise ParseError("--tol must be a finite number in (0, 1)")
         if command == "odd-power" and args.m_max is not None:
             if args.m_max < 1 or args.m_max % 2 == 0:
                 raise ParseError("--m-max must be an odd positive integer")

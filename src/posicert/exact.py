@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .gram import GramSystem
@@ -145,7 +146,12 @@ class SquareTerm:
 
 
 def combine_squares(lower, diag, generators: Sequence[Polynomial]):
-    """Weighted squares D_jj * (sum_i L_ij gen_i)^2 with zero weights dropped."""
+    """Weighted squares D_jj * (sum_i L_ij gen_i)^2 with zero weights dropped.
+
+    Each square p is scaled by s > 0 to coprime integer coefficients and its
+    weight divided by s^2, so w*p^2 is unchanged and exact arithmetic on the
+    certificate runs on small integers.
+    """
     n = len(diag)
     out = []
     for j in range(n):
@@ -156,7 +162,12 @@ def combine_squares(lower, diag, generators: Sequence[Polynomial]):
             if lower[i][j]:
                 p = p + lower[i][j] * generators[i]
         if not p.is_zero():
-            out.append(SquareTerm(weight=Fraction(diag[j]), poly=p))
+            coefficients = p.terms.values()
+            scale = Fraction(
+                lcm(*(c.denominator for c in coefficients)),
+                gcd(*(c.numerator for c in coefficients)),
+            )
+            out.append(SquareTerm(weight=Fraction(diag[j]) / (scale * scale), poly=p * scale))
     return tuple(out)
 
 

@@ -9,8 +9,9 @@ Solves
 by a Nesterov-Todd scaled Mehrotra predictor-corrector iteration from the
 infeasible start X = S = I, u = 0, y = 0.  Free variables are carried through
 the Schur complement as an augmented system rather than split into 1x1 PSD
-blocks.  A solve is single threaded and bitwise deterministic for identical
-inputs.
+blocks.  A solve is bitwise deterministic for identical inputs.  With each
+constraint tensor flattened to (m, d*d), A, A* and the Schur rows svec(G'A_kG)
+are matrix products, so an iteration costs O(m*sum d^3 + m^2*sum d^2).
 
 In the margin encoding used by the certificate search the solved X equals
 Q - t*I blockwise, where t is the designated free scalar being maximized, so
@@ -126,6 +127,10 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
     p = problem.n_free
     n_total = int(sum(dims))
     at = [np.asarray(t, dtype=float) for t in problem.a_blocks]
+    flat = [t.reshape(m, d * d) for t, d in zip(at, dims)]
+    # svec of a symmetric block: upper triangle, off-diagonal scaled by sqrt(2)
+    svecs = [np.triu_indices(d) for d in dims]
+    svecs = [(iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))) for iu in svecs]
     cf = np.asarray(problem.c_free, dtype=float).reshape(m, p)
     b = np.asarray(problem.b, dtype=float)
     # max d.u posed internally as min c_u.u
@@ -141,12 +146,12 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
 
     def apply_a(mats) -> np.ndarray:
         out = np.zeros(m)
-        for tensor, mat in zip(at, mats):
-            out += np.einsum("kij,ij->k", tensor, mat)
+        for fl, mat in zip(flat, mats):
+            out += fl @ mat.ravel()
         return out
 
     def apply_a_adjoint(vec) -> list:
-        return [np.einsum("k,kij->ij", vec, tensor) for tensor in at]
+        return [(vec @ fl).reshape(d, d) for fl, d in zip(flat, dims)]
 
     status = MAX_ITERATIONS
     iterations = 0
@@ -214,11 +219,8 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
             # root of M's condition number, which is what limits accuracy
             # near the central path's end.
             p_slices = []
-            for tensor, g_b in zip(at, g_mats):
-                scaled = np.einsum("ji,kjl,lm->kim", g_b, tensor, g_b)
-                d = scaled.shape[1]
-                iu = np.triu_indices(d)
-                weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+            for tensor, g_b, (iu, weights) in zip(at, g_mats, svecs):
+                scaled = g_b.T @ tensor @ g_b
                 p_slices.append(scaled[:, iu[0], iu[1]] * weights)
             p_mat = np.concatenate(p_slices, axis=1) if p_slices else np.zeros((m, 0))
 
@@ -237,11 +239,8 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
                 return np.linalg.solve(r_factor, z)
 
             a_w_rd_w = np.zeros(m)
-            for p_slice, g_b, rd in zip(p_slices, g_mats, r_d):
+            for p_slice, g_b, rd, (iu, weights) in zip(p_slices, g_mats, r_d, svecs):
                 inner = g_b.T @ rd @ g_b
-                d = inner.shape[0]
-                iu = np.triu_indices(d)
-                weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
                 a_w_rd_w += p_slice @ (inner[iu[0], iu[1]] * weights)
 
             minv_c = None
@@ -269,10 +268,7 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
                 return dy, du
 
             def newton(rc_blocks):
-                rhs_y = r_p.copy()
-                for tensor, rc in zip(at, rc_blocks):
-                    rhs_y -= np.einsum("kij,ij->k", tensor, rc)
-                rhs_y += a_w_rd_w
+                rhs_y = r_p - apply_a(rc_blocks) + a_w_rd_w
                 dy, du = aug_solve(rhs_y, r_u)
                 adj = apply_a_adjoint(dy)
                 ds = [r_d[bi] - adj[bi] for bi in range(len(dims))]

@@ -163,6 +163,16 @@ def test_negative_samples_is_input_error(capsys):
     assert "--samples must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_tol_outside_unit_interval_is_input_error(tol, capsys):
+    # rejected before the precheck: no --force, and nothing reaches stdout
+    code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), f"--tol={tol}"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "--tol must be a finite number in (0, 1)" in captured.err
+    assert captured.out == ""
+
+
 def test_n_max_flag_overrides(capsys):
     code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), "--force", "--n-max", "0"])
     assert code == 1  # not found up to 0: the n = 1 certificate is out of reach

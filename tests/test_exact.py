@@ -231,6 +231,27 @@ class TestExtractSos:
         squares = combine_squares(lower, diag, MONOMIALS_XY)
         assert [sq.weight for sq in squares] == [F(1, 4), F(1, 4)]
 
+    def test_fractional_factor_gives_integer_content_squares(self):
+        # the 3x3 Hilbert matrix: L in its LDL' has entries 1/2, 2/3, 1
+        q = [[F(1, i + j + 1) for j in range(3)] for i in range(3)]
+        lower, diag = exact_ldlt(q)
+        assert any(v.denominator > 1 for row in lower for v in row)
+        basis = [Polynomial.monomial(2, ev) for ev in [(2, 0), (1, 1), (0, 2)]]
+        squares = combine_squares(lower, diag, basis)
+        assert len(squares) == 3
+        total = Polynomial.zero(2)
+        for sq in squares:
+            coefficients = list(sq.poly.terms.values())
+            assert all(c.denominator == 1 for c in coefficients)
+            assert math.gcd(*(c.numerator for c in coefficients)) == 1
+            assert sq.weight > 0
+            total = total + sq.weight * sq.poly * sq.poly
+        expected = Polynomial.zero(2)
+        for i in range(3):
+            for j in range(3):
+                expected = expected + q[i][j] * basis[i] * basis[j]
+        assert total == expected
+
 
 def trivial_certificate():
     f = parse_polynomial("x^2 + y^2", XY)

@@ -77,6 +77,40 @@ class TestRandomFeasibleBattery:
                 assert pobj <= dobj + compl + slack + 1e-9 * (1 + abs(pobj) + abs(dobj))
 
 
+def test_two_blocks_with_extra_free_column():
+    """Blocks of sizes 3 and 5 in margin form, plus a free column v that the
+    margin does not touch: sum_b <A_k^b, Q^b> + e_k v = b_k."""
+    rng = np.random.default_rng(2024)
+    dims = (3, 5)
+    q0 = []
+    for d in dims:
+        root = rng.normal(size=(d, d))
+        q0.append(root @ root.T + 0.5 * np.eye(d))  # strictly feasible point
+    tensors = []
+    for d in dims:
+        # row 0 pins the total trace, so the margin is bounded above
+        mats = [np.eye(d)]
+        for _ in range(10):
+            raw = rng.normal(size=(d, d))
+            mats.append((raw + raw.T) / 2.0)
+        tensors.append(np.stack(mats))
+    extra = np.concatenate([[0.0], rng.normal(size=10)])
+    v0 = 0.7
+    b = sum(np.einsum("kij,ij->k", a, q) for a, q in zip(tensors, q0)) + extra * v0
+    margin = sum(np.einsum("kii->k", a) for a in tensors)  # <A_k, I> over blocks
+    problem = sdp.SdpProblem(
+        block_dims=dims, a_blocks=tensors, c_free=np.column_stack([margin, extra]), b=b
+    )
+    sol = sdp.solve(problem, gap_tolerance=1e-8, max_iterations=50)
+    assert sol.status == sdp.MARGIN_FEASIBLE
+    assert sol.gap <= 1e-8
+    t_star, v = sol.free_values
+    residual = extra * v - b
+    for a, x, d in zip(tensors, sol.x_blocks, dims):
+        residual += np.einsum("kij,ij->k", a, x + t_star * np.eye(d))
+    assert np.max(np.abs(residual)) / (1.0 + np.max(np.abs(b))) <= 1e-7
+
+
 def test_single_threaded_determinism():
     rng = np.random.default_rng(11)
     problem, _ = random_margin_instance(rng)
