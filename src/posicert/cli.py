@@ -10,7 +10,8 @@
 
 Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
 invalid), 2 counterexample found, 3 input error (including a polynomial text
-above the parser's degree cap, and dump-sdp on f = 0), 4 numerical failure.
+above the parser's degree cap, dump-sdp on f = 0, and an --out file that
+cannot be written), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -83,6 +84,17 @@ def _format_point(point, variables):
     return ", ".join(f"{name} = {value}" for name, value in zip(variables, point))
 
 
+def _write_out(path: str, text: str) -> bool:
+    """Write text to path; on failure report an input error and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _run_search(args, command: str) -> int:
     try:
         with open(args.problem, encoding="utf-8") as fh:
@@ -148,8 +160,8 @@ def _run_search(args, command: str) -> int:
 
     print(driver.render_report(report, exponent_name))
     if report.certificate is not None and args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_certificate(report.certificate))
+        if not _write_out(args.out, format_certificate(report.certificate)):
+            return EXIT_INPUT_ERROR
         print(f"certificate written to {args.out}")
     if report.outcome == driver.OUTCOME_CERTIFICATE:
         return EXIT_OK
@@ -188,8 +200,8 @@ def _run_dump(args) -> int:
         return EXIT_NOT_FOUND
     dump = sdp.format_debug_dump(driver.system_to_sdp(system))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dump)
+        if not _write_out(args.out, dump):
+            return EXIT_INPUT_ERROR
     else:
         sys.stdout.write(dump)
     return EXIT_OK

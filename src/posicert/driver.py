@@ -101,17 +101,15 @@ class SearchReport:
 
 def system_to_sdp(
     system: GramSystem,
-    *,
-    margin: bool = True,
-    extra_columns: Sequence = (),
+    column: Optional[dict] = None,
     row_indices: Optional[Sequence[int]] = None,
 ) -> sdp.SdpProblem:
-    """Pose the matching system as a block SDP.
+    """Pose the matching system as a block SDP maximizing one free scalar.
 
-    With margin=True a free scalar t is added with Q = X + t*I, i.e. the
-    constraint coefficient of t is <A_k, I>, and t is the objective.  Extra
-    free columns (e.g. a linear margin parameter) follow t; without the
-    margin the first extra column is the objective.
+    The scalar's coefficient in constraint k is column[k] (absent keys are
+    zero).  The default column is the margin's: <A_k, I> summed over the
+    blocks, i.e. Q = X + t*I with t maximized.  Only the rows in
+    row_indices are posed (default: the system's independent rows).
     """
     active = system.active_indices
     dims = tuple(system.block_dim(b) for b in active)
@@ -120,8 +118,7 @@ def system_to_sdp(
     m = len(rows)
     a_blocks = [np.zeros((m, d, d)) for d in dims]
     b_vec = np.zeros(m)
-    p = (1 if margin else 0) + len(extra_columns)
-    c_free = np.zeros((m, p))
+    c_vec = np.zeros(m)
     for k, row_idx in enumerate(rows):
         con = system.constraints[row_idx]
         b_vec[k] = float(con.rhs)
@@ -130,43 +127,34 @@ def system_to_sdp(
             tensor[k, i, j] += float(c)
             if i != j:
                 tensor[k, j, i] += float(c)
-        if margin:
-            c_free[k, 0] = sum(float(np.trace(a_blocks[t][k])) for t in range(len(dims)))
-        for col_idx, column in enumerate(extra_columns):
-            c_free[k, (1 if margin else 0) + col_idx] = float(column.get(row_idx, 0.0))
+        if column is None:
+            c_vec[k] = sum(float(np.trace(t[k])) for t in a_blocks)
+        else:
+            c_vec[k] = float(column.get(row_idx, 0.0))
     # row scaling: rescaling each equation leaves the feasible set and the
     # objective untouched but keeps the Schur complement well conditioned
     for k in range(m):
         scale = max(
             [abs(b_vec[k])]
             + [float(np.max(np.abs(t[k]))) for t in a_blocks if t.size]
-            + ([float(np.max(np.abs(c_free[k])))] if p else [])
+            + [abs(c_vec[k])]
         )
         if scale > 1.0:
             b_vec[k] /= scale
             for t in a_blocks:
                 t[k] /= scale
-            if p:
-                c_free[k] /= scale
-    return sdp.SdpProblem(
-        block_dims=dims,
-        a_blocks=a_blocks,
-        c_free=c_free,
-        b=b_vec,
-        objective_index=0,
-    )
+            c_vec[k] /= scale
+    return sdp.SdpProblem(block_dims=dims, a_blocks=a_blocks, c=c_vec, b=b_vec)
 
 
-def _independent_with_columns(system: GramSystem, columns: Sequence[dict]):
-    """Independent consistent rows when extra free columns join the system."""
+def _independent_with_column(system: GramSystem, column: dict):
+    """Independent consistent rows of the system with a free scalar's column."""
     nq = len(system.unknown_layout)
     rows = []
     for k in range(len(system.constraints)):
         row = system.row_sparse(k)
-        for ci, col in enumerate(columns):
-            v = col.get(k, Fraction(0))
-            if v:
-                row[nq + ci] = v
+        if column.get(k):
+            row[nq] = column[k]
         rows.append(row)
     rhs = [c.rhs for c in system.constraints]
     return ratlin.row_reduce(rows, rhs)
@@ -300,7 +288,7 @@ def _exact_phase(system: GramSystem, q_float: dict, t_star: float, options: Sear
     reduced = build_reduced_system(system, reduced_gens)
     if not isinstance(reduced, GramSystem):
         return None, attempts, f"{note}; kernel restriction infeasible"
-    problem = system_to_sdp(reduced, margin=True)
+    problem = system_to_sdp(reduced)
     solution = sdp.solve(problem, options.gap_tolerance)
     if not solution.converged:  # no verdict, so t_star is no margin
         return None, attempts, f"{note}; kernel-restricted solve {solution.status.replace('_', ' ')}"
@@ -507,10 +495,10 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
             for k, con in enumerate(system.constraints)
             if eps_poly.coefficient(con.monomial)
         }
-        indep, inconsistent = _independent_with_columns(system, [column])
+        indep, inconsistent = _independent_with_column(system, column)
         if inconsistent is not None:
             return no_certificate(SUPPORT_INFEASIBLE, note="system inconsistent with margin column")
-        problem = system_to_sdp(system, margin=False, extra_columns=[column], row_indices=indep)
+        problem = system_to_sdp(system, column, indep)
         solution = sdp.solve(problem, options.gap_tolerance)
         if solution.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"SDP solver failed in epsilon stage at n={n}")
@@ -558,10 +546,6 @@ class PrecheckResult:
     kept: int
     total: int
     warnings: tuple = ()
-
-    @property
-    def clean(self) -> bool:
-        return self.negative is None and self.zero is None
 
 
 _GRID_RESOLUTION = {1: 21, 2: 21, 3: 21, 4: 9, 5: 5, 6: 5}
@@ -658,13 +642,14 @@ def render_report(report: SearchReport, exponent_name: str = "n") -> str:
             bits.append(rec.note)
         lines.append("  " + ", ".join(bits))
     if report.outcome == OUTCOME_CERTIFICATE:
-        cert = report.certificate
         if report.epsilon is not None:
             lines.append(
                 f"outcome: certified epsilon = {report.epsilon} at {exponent_name} = {report.epsilon_exponent}"
             )
         else:
-            lines.append(f"outcome: exact certificate at {exponent_name} = {cert.n}")
+            # the scan stops at its first certificate, so the last record is
+            # the certified one; odd-power certificates carry n = m - 1
+            lines.append(f"outcome: exact certificate at {exponent_name} = {report.records[-1].exponent}")
     elif report.outcome == OUTCOME_NOT_FOUND:
         lines.append(
             f"outcome: not found up to {exponent_name} = {report.bound} (numerical evidence only, not a nonexistence proof)"

@@ -404,6 +404,13 @@ def _parse_fraction(text: str, context: str) -> Fraction:
         raise ParseError(f"{context}: invalid rational {text!r}") from None
 
 
+def _parse_float(text: str, key: str) -> float:
+    try:
+        return float(text.strip())
+    except ValueError:
+        raise ParseError(f"{key}: expected a number, found {text!r}") from None
+
+
 def parse_certificate(document: str) -> Certificate:
     """Parse the output of format_certificate."""
     from .parsing import _parse_blocks, _parse_int
@@ -430,6 +437,8 @@ def parse_certificate(document: str) -> Certificate:
         if required not in header:
             raise ParseError(f"missing {required}")
     names = [n.strip() for n in header["vars"].split(",") if n.strip()]
+    if not names:
+        raise ParseError("vars: empty variable list")
     grading = (
         _parse_blocks(header["blocks"], names) if "blocks" in header else Grading.single(len(names))
     )
@@ -439,7 +448,7 @@ def parse_certificate(document: str) -> Certificate:
     n = _parse_int(header["N"], "N")
     if n < 0:
         raise ParseError(f"N: must be nonnegative, found {n}")
-    margin = float(header["margin"]) if "margin" in header else None
+    margin = _parse_float(header["margin"], "margin") if "margin" in header else None
     denominator_bound = (
         _parse_int(header["denominator_bound"], "denominator_bound")
         if "denominator_bound" in header
@@ -452,7 +461,7 @@ def parse_certificate(document: str) -> Certificate:
         if not (e_txt.startswith("(") and e_txt.endswith(")")):
             raise ParseError(f"e: expected a parenthesized tuple, found {e_txt!r}")
         inner = e_txt[1:-1].strip()
-        product_index = tuple(int(x) for x in inner.split(",") if x.strip()) if inner else ()
+        product_index = tuple(_parse_int(x, "e") for x in inner.split(",") if x.strip()) if inner else ()
         if any(e not in (0, 1) for e in product_index):
             raise ParseError(f"e: entries must be 0 or 1, found {product_index}")
         # basis and square texts are sums of monomials as format_polynomial

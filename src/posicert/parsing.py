@@ -97,11 +97,6 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
-
     def parse(self) -> Polynomial:
         if not self.tokens:
             raise ParseError("empty polynomial expression")

@@ -1,33 +1,35 @@
-"""Dense primal-dual interior-point solver for block-diagonal SDPs with
-free scalar variables.
+"""Dense primal-dual interior-point solver for block-diagonal SDPs with one
+free scalar.
 
 Solves
-    maximize    u[objective_index]
-    subject to  sum_b <A_k^b, X^b>  +  c_k . u  =  b_k,   k = 1..m
-                X^b PSD,  u free,
+    maximize    u
+    subject to  sum_b <A_k^b, X^b>  +  c_k * u  =  b_k,   k = 1..m
+                X^b PSD,  u a free scalar,
 
 by a Nesterov-Todd scaled Mehrotra predictor-corrector iteration from the
-infeasible start X = S = I, u = 0, y = 0.  Free variables are carried through
-the Schur complement as an augmented system rather than split into 1x1 PSD
-blocks.  A solve is bitwise deterministic for identical inputs.  With each
-constraint tensor flattened to (m, d*d), A, A* and the Schur rows svec(G'A_kG)
-are matrix products, so an iteration costs O(m*sum d^3 + m^2*sum d^2).
+infeasible start X = S = I, u = 0, y = 0.  The free scalar is carried
+through the Schur complement as an augmented system rather than split into a
+1x1 PSD block.  A solve is bitwise deterministic for identical inputs.  With
+each constraint tensor flattened to (m, d*d), A, A* and the Schur rows
+svec(G'A_kG) are matrix products, so an iteration costs O(m*sum d^3 +
+m^2*sum d^2).
 
 In the margin encoding used by the certificate search the solved X equals
-Q - t*I blockwise, where t is the designated free scalar being maximized, so
-t* > 0 certifies an interior Gram point and t* < 0 numerical infeasibility.
+Q - t*I blockwise, where t = u is the margin being maximized, so t* > 0
+certifies an interior Gram point and t* < 0 numerical infeasibility.
 The solver never classifies the band |t*| <= 10*gap_tolerance; it reports
 BORDERLINE and the caller decides.
 
 A solve ends in one of three ways:
 
-* convergence: the relative gap and the primal, dual and free-variable
+* convergence: the relative gap and the primal, dual and free-scalar
   residuals are all at most gap_tolerance; t* is classified as above;
 * the iteration cap: MAX_ITERATIONS, with the latest iterate;
 * a breakdown: the iterates diverged, the scaling point collapsed, the
   Schur complement is rank deficient (a diagonal entry of R in the QR of P'
-  below 1e-13 of the largest), or the step was inadmissible (a non-finite
-  iterate or one outside the cone) or collapsed (alpha < 1e-10).
+  below 1e-13 of the largest), the augmented system is singular
+  (c'M^-1 c = 0), or the step was inadmissible (a non-finite iterate or one
+  outside the cone) or collapsed (alpha < 1e-10).
 
 A breakdown keeps the better of the latest iterate and the best one, the
 last iterate that halved the best worst-residual seen, and classifies it by
@@ -56,22 +58,17 @@ STEP_TO_BOUNDARY = 0.98
 class SdpProblem:
     block_dims: tuple
     a_blocks: list  # per block: (m, d, d) float array, symmetric slices
-    c_free: np.ndarray  # (m, n_free)
+    c: np.ndarray  # (m,) coefficients of the free scalar
     b: np.ndarray  # (m,)
-    objective_index: int = 0
 
     @property
     def n_constraints(self) -> int:
         return int(self.b.shape[0])
 
-    @property
-    def n_free(self) -> int:
-        return int(self.c_free.shape[1])
-
     def validate(self) -> None:
         m = self.n_constraints
-        if self.c_free.shape[0] != m:
-            raise ValueError("c_free row count must match constraint count")
+        if self.c.shape != (m,):
+            raise ValueError("one free-scalar coefficient per constraint required")
         if len(self.a_blocks) != len(self.block_dims):
             raise ValueError("one constraint tensor per block required")
         for d, tensor in zip(self.block_dims, self.a_blocks):
@@ -79,8 +76,6 @@ class SdpProblem:
                 raise ValueError(f"constraint tensor shape {tensor.shape} != {(m, d, d)}")
             if not np.allclose(tensor, np.transpose(tensor, (0, 2, 1)), atol=1e-12):
                 raise ValueError("constraint matrices must be symmetric")
-        if self.n_free and not 0 <= self.objective_index < self.n_free:
-            raise ValueError("objective index out of range")
 
 
 @dataclass
@@ -88,7 +83,6 @@ class SdpSolution:
     status: str
     t_star: float
     x_blocks: list
-    free_values: np.ndarray
     y: np.ndarray
     s_blocks: list
     gap: float
@@ -124,23 +118,18 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
     problem.validate()
     dims = problem.block_dims
     m = problem.n_constraints
-    p = problem.n_free
     n_total = int(sum(dims))
     at = [np.asarray(t, dtype=float) for t in problem.a_blocks]
     flat = [t.reshape(m, d * d) for t, d in zip(at, dims)]
     # svec of a symmetric block: upper triangle, off-diagonal scaled by sqrt(2)
     svecs = [np.triu_indices(d) for d in dims]
     svecs = [(iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))) for iu in svecs]
-    cf = np.asarray(problem.c_free, dtype=float).reshape(m, p)
+    c = np.asarray(problem.c, dtype=float)
     b = np.asarray(problem.b, dtype=float)
-    # max d.u posed internally as min c_u.u
-    c_u = np.zeros(p)
-    if p:
-        c_u[problem.objective_index] = -1.0
 
     x = [np.eye(d) for d in dims]
     s = [np.eye(d) for d in dims]
-    u = np.zeros(p)
+    u = 0.0
     y = np.zeros(m)
     trace: list = []
 
@@ -171,33 +160,32 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
         for iteration in range(max_iterations):
             iterations = iteration
             ax = apply_a(x)
-            r_p = b - ax - (cf @ u if p else 0.0)
+            r_p = b - ax - c * u
             asty = apply_a_adjoint(y)
             r_d = [-asty[bi] - s[bi] for bi in range(len(dims))]
-            r_u = c_u - (cf.T @ y if p else np.zeros(0))
+            r_u = -1.0 - float(c @ y)  # max u posed internally as min -u
 
             compl = float(sum(np.vdot(xb, sb) for xb, sb in zip(x, s)))
-            pobj = float(u[problem.objective_index]) if p else 0.0
             dobj = float(-(b @ y))
-            slack = float(abs(r_u @ u) + abs(y @ r_p)) if p else float(abs(y @ r_p))
+            slack = abs(r_u * u) + float(abs(y @ r_p))
             slack += float(sum(abs(np.vdot(xb, rd)) for xb, rd in zip(x, r_d)))
-            trace.append((pobj, dobj, compl, slack))
+            trace.append((u, dobj, compl, slack))
 
-            rel_gap = compl / (1.0 + abs(pobj) + abs(dobj))
+            rel_gap = compl / (1.0 + abs(u) + abs(dobj))
             b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
             rp_rel = (float(np.max(np.abs(r_p))) if m else 0.0) / b_scale
             rd_rel = float(np.sqrt(sum(np.sum(rd * rd) for rd in r_d)))
             rd_rel /= 1.0 + float(np.sqrt(sum(np.sum(sb * sb) for sb in s)))
-            ru_rel = float(np.max(np.abs(r_u))) / 2.0 if p else 0.0
+            ru_rel = abs(r_u) / 2.0
 
             metrics = (rel_gap, rp_rel, rd_rel, ru_rel)
             if max(metrics) <= gap_tolerance:
-                status = classify(pobj, max(metrics))
+                status = classify(u, max(metrics))
                 break
             if best is None or max(metrics) < 0.5 * best[0]:
-                best = (max(metrics), ([xb.copy() for xb in x], u.copy(), y.copy(),
+                best = (max(metrics), ([xb.copy() for xb in x], u, y.copy(),
                                        [sb.copy() for sb in s], rel_gap))
-            if not np.isfinite(compl) or compl > 1e16 or (p and np.max(np.abs(u)) > 1e14):
+            if not np.isfinite(compl) or compl > 1e16 or abs(u) > 1e14:
                 raise _Failure("iterates diverged")
 
             # Nesterov-Todd scaling per block: W S W = X with W = G G'
@@ -243,25 +231,23 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
                 inner = g_b.T @ rd @ g_b
                 a_w_rd_w += p_slice @ (inner[iu[0], iu[1]] * weights)
 
-            minv_c = None
-            if p:
-                minv_c = np.column_stack([schur_base(cf[:, i]) for i in range(p)])
+            minv_c = schur_base(c)
+            c_minv_c = float(c @ minv_c)
+            if c_minv_c == 0.0:  # e.g. m = 0 or c = 0: nothing bounds the free scalar
+                raise _Failure("augmented system singular")
 
             def aug_solve(rhs_y, rhs_u):
-                # [M C; C' 0] [dy; du] = [rhs_y; rhs_u] by block elimination,
+                # [M c; c' 0] [dy; du] = [rhs_y; rhs_u] by block elimination,
                 # with refinement against the exact augmented residuals
                 def base(ry, ru):
                     minv_h = schur_base(ry)
-                    if p:
-                        small = cf.T @ minv_c
-                        du = np.linalg.solve(small, cf.T @ minv_h - ru)
-                        return minv_h - minv_c @ du, du
-                    return minv_h, np.zeros(0)
+                    du = (float(c @ minv_h) - ru) / c_minv_c
+                    return minv_h - minv_c * du, du
 
                 dy, du = base(rhs_y, rhs_u)
                 for _ in range(2):
-                    res_y = rhs_y - schur_matvec(dy) - (cf @ du if p else 0.0)
-                    res_u = rhs_u - cf.T @ dy if p else np.zeros(0)
+                    res_y = rhs_y - schur_matvec(dy) - c * du
+                    res_u = rhs_u - float(c @ dy)
                     corr_y, corr_u = base(res_y, res_u)
                     dy = dy + corr_y
                     du = du + corr_u
@@ -332,19 +318,16 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
             x, u, y, s, rel_gap = best[1]
             achieved = best[0]
         if achieved <= max(1e-6, 100.0 * gap_tolerance):
-            pobj = float(u[problem.objective_index]) if p else 0.0
-            status = classify(pobj, achieved)
+            status = classify(u, achieved)
         elif achieved <= 1e-3:
             status = MAX_ITERATIONS
         else:
             status = NUMERICAL_FAILURE
 
-    t_star = float(u[problem.objective_index]) if p else 0.0
     return SdpSolution(
         status=status,
-        t_star=t_star,
+        t_star=float(u),
         x_blocks=x,
-        free_values=u,
         y=y,
         s_blocks=s,
         gap=float(rel_gap),
@@ -364,11 +347,11 @@ def format_debug_dump(problem: SdpProblem) -> str:
     Layout:
         sdp-dump 1
         blocks <d1> <d2> ...
-        nfree <p>
-        objective <free index>
+        nfree 1
+        objective 0
         constraint <k>
         b <value>
-        c <v1> ... <vp>
+        c <value>                         # coefficient of the free scalar
         A <block> <row> <col> <value>     # upper-triangle nonzeros
         end
     Floats are written with repr so an independent reader recovers them
@@ -376,13 +359,12 @@ def format_debug_dump(problem: SdpProblem) -> str:
     """
     lines = ["sdp-dump 1"]
     lines.append("blocks " + " ".join(str(d) for d in problem.block_dims))
-    lines.append(f"nfree {problem.n_free}")
-    lines.append(f"objective {problem.objective_index}")
+    lines.append("nfree 1")
+    lines.append("objective 0")
     for k in range(problem.n_constraints):
         lines.append(f"constraint {k}")
         lines.append(f"b {float(problem.b[k])!r}")
-        if problem.n_free:
-            lines.append("c " + " ".join(repr(float(v)) for v in problem.c_free[k]))
+        lines.append(f"c {float(problem.c[k])!r}")
         for b_idx, tensor in enumerate(problem.a_blocks):
             mat = tensor[k]
             d = mat.shape[0]

@@ -66,6 +66,16 @@ def test_odd_power_not_found_exit(capsys):
     assert "m=1" in out and "margin negative" in out
 
 
+def test_odd_power_outcome_names_the_certified_power(tmp_path, capsys):
+    # f^1 is already a sum of squares: certified at m = 1 (a certificate of f*f^0)
+    problem = tmp_path / "circle.txt"
+    problem.write_text('vars = x, y\nf = "x^2 + y^2"\nmode = odd-power\nm_max = 3\n')
+    assert cli.main(["odd-power", str(problem), "--force"]) == 0
+    out = capsys.readouterr().out
+    assert "m=1: certified" in out
+    assert "outcome: exact certificate at m = 1" in out
+
+
 def test_epsilon_mode(capsys):
     code = cli.main(["epsilon", str(PROBLEMS / "epsilon_example.txt")])
     assert code == 0
@@ -87,6 +97,19 @@ def test_dump_sdp(tmp_path, capsys):
     assert text.startswith("sdp-dump 1")
     assert "blocks 2 1" in text
     assert text.count("constraint ") == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-sos", str(PROBLEMS / "epsilon_example.txt"), "--force"],
+        ["dump-sdp", str(PROBLEMS / "constrained_example.txt"), "--n", "0"],
+    ],
+)
+def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing_dir" / "out.txt"
+    assert cli.main(argv + ["--out", str(target)]) == 3
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_dump_sdp_zero_target_is_input_error(tmp_path, capsys):
@@ -134,6 +157,21 @@ def test_verify_negative_exponent_is_input_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify", str(_circle_certificate(tmp_path, -1))]) == 3
     assert "N: must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("e = ()", "e = (a)", "e:"),
+        ("h = []", "h = []\nmargin = abc", "margin:"),
+        ("vars = x, y", "vars = ", "vars:"),
+    ],
+)
+def test_verify_malformed_entry_is_input_error(old, new, key, tmp_path, capsys):
+    path = _circle_certificate(tmp_path, 0)
+    path.write_text(path.read_text().replace(old, new))
+    assert cli.main(["verify", str(path)]) == 3
+    assert key in capsys.readouterr().err
 
 
 def test_verify_rejects_an_unreachable_degree_before_expanding(tmp_path, capsys):

@@ -325,7 +325,7 @@ def test_solver_does_not_claim_inconsistent_systems():
     problem = sdp.SdpProblem(
         block_dims=(2,),
         a_blocks=[e11],
-        c_free=np.array([[1.0], [1.0]]),
+        c=np.array([1.0, 1.0]),
         b=np.array([1.0, 2.0]),
     )
     solution = sdp.solve(problem, 1e-8, 60)
@@ -338,7 +338,6 @@ def test_numerical_failure_propagates(monkeypatch):
         status=sdp.NUMERICAL_FAILURE,
         t_star=float("nan"),
         x_blocks=[],
-        free_values=np.zeros(1),
         y=np.zeros(0),
         s_blocks=[],
         gap=float("inf"),

@@ -12,9 +12,9 @@ def margin_problem_2x2(offdiag: float) -> sdp.SdpProblem:
     e22 = np.array([[0.0, 0.0], [0.0, 1.0]])
     e12 = np.array([[0.0, 0.5], [0.5, 0.0]])
     a = np.stack([e11, e22, e12])
-    c_free = np.array([[1.0], [1.0], [0.0]])  # <A_k, I>
+    c = np.array([1.0, 1.0, 0.0])  # <A_k, I>
     b = np.array([1.0, 1.0, offdiag])
-    return sdp.SdpProblem(block_dims=(2,), a_blocks=[a], c_free=c_free, b=b)
+    return sdp.SdpProblem(block_dims=(2,), a_blocks=[a], c=c, b=b)
 
 
 class TestAnalyticMargins:
@@ -49,8 +49,8 @@ def random_margin_instance(rng: np.random.Generator):
         mats.append((raw + raw.T) / 2.0)
     a = np.stack(mats)
     b = np.einsum("kij,ij->k", a, q0)
-    c_free = np.array([[float(np.trace(mat))] for mat in mats])
-    return sdp.SdpProblem(block_dims=(d,), a_blocks=[a], c_free=c_free, b=b), q0
+    c = np.array([float(np.trace(mat)) for mat in mats])
+    return sdp.SdpProblem(block_dims=(d,), a_blocks=[a], c=c, b=b), q0
 
 
 class TestRandomFeasibleBattery:
@@ -77,9 +77,9 @@ class TestRandomFeasibleBattery:
                 assert pobj <= dobj + compl + slack + 1e-9 * (1 + abs(pobj) + abs(dobj))
 
 
-def test_two_blocks_with_extra_free_column():
-    """Blocks of sizes 3 and 5 in margin form, plus a free column v that the
-    margin does not touch: sum_b <A_k^b, Q^b> + e_k v = b_k."""
+def test_two_blocks_margin():
+    """Blocks of sizes 3 and 5 in margin form: the free scalar t enters
+    every constraint through <A_k, I> summed over both blocks."""
     rng = np.random.default_rng(2024)
     dims = (3, 5)
     q0 = []
@@ -94,21 +94,26 @@ def test_two_blocks_with_extra_free_column():
             raw = rng.normal(size=(d, d))
             mats.append((raw + raw.T) / 2.0)
         tensors.append(np.stack(mats))
-    extra = np.concatenate([[0.0], rng.normal(size=10)])
-    v0 = 0.7
-    b = sum(np.einsum("kij,ij->k", a, q) for a, q in zip(tensors, q0)) + extra * v0
+    b = sum(np.einsum("kij,ij->k", a, q) for a, q in zip(tensors, q0))
     margin = sum(np.einsum("kii->k", a) for a in tensors)  # <A_k, I> over blocks
-    problem = sdp.SdpProblem(
-        block_dims=dims, a_blocks=tensors, c_free=np.column_stack([margin, extra]), b=b
-    )
+    problem = sdp.SdpProblem(block_dims=dims, a_blocks=tensors, c=margin, b=b)
     sol = sdp.solve(problem, gap_tolerance=1e-8, max_iterations=50)
     assert sol.status == sdp.MARGIN_FEASIBLE
     assert sol.gap <= 1e-8
-    t_star, v = sol.free_values
-    residual = extra * v - b
+    residual = -b
     for a, x, d in zip(tensors, sol.x_blocks, dims):
-        residual += np.einsum("kij,ij->k", a, x + t_star * np.eye(d))
+        residual += np.einsum("kij,ij->k", a, x + sol.t_star * np.eye(d))
     assert np.max(np.abs(residual)) / (1.0 + np.max(np.abs(b))) <= 1e-7
+
+
+def test_unbounded_free_scalar_is_numerical_failure():
+    # c = 0 (and m = 0) leave the augmented system [M c; c' 0] singular
+    a = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    for problem in (
+        sdp.SdpProblem(block_dims=(2,), a_blocks=[a], c=np.zeros(2), b=np.ones(2)),
+        sdp.SdpProblem(block_dims=(2,), a_blocks=[np.zeros((0, 2, 2))], c=np.zeros(0), b=np.zeros(0)),
+    ):
+        assert sdp.solve(problem).status == sdp.NUMERICAL_FAILURE
 
 
 def test_single_threaded_determinism():
