@@ -9,10 +9,13 @@ evidence only; the only claims made are exactly verified certificates and
 exact infeasibility flags.
 
 Targets whose optimal margin is zero (the target has real zeros) cannot be
-rounded from the interior.  For those the driver restricts the Gram unknowns
-to the orthogonal complement of a rationalized numerical kernel and retries;
-the end result is still checked by exact verification, so a wrong kernel
-guess can only lead to "not certified", never to a wrong certificate.
+rounded from the interior: rounding succeeds only when its correction stays
+below the margin.  A borderline solve therefore tries one denominator bound,
+and then, as does a solve whose whole ladder failed, the driver restricts
+the Gram unknowns to the face cut out by the target's real zeros on the
+grid {-1, 0, 1}^n.  At such a zero z every feasible Gram matrix has
+Q_e b_e(z) = 0 (partial facial reduction), so the restriction is exact and
+loses no certificate; the reduced system is solved and rounded as before.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,8 +48,6 @@ from .parsing import ProblemSpec
 from .poly import Grading, Polynomial
 
 DEFAULT_DENOMINATOR_BOUNDS = (10**2, 10**4, 10**8, 10**12)
-KERNEL_EIGENVALUE_CUT = 1e-5
-KERNEL_ROUNDING_DENOMINATORS = (8, 64, 1024)
 
 # scan record statuses
 PARITY_INFEASIBLE = "parity_infeasible"
@@ -169,85 +171,43 @@ def _gram_float(system: GramSystem, solution: sdp.SdpSolution, shift: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact phase: rounding ladder, kernel restriction fallback
+# exact phase: rounding ladder, face restriction at the target's zeros
 # ---------------------------------------------------------------------------
 
 
-def _rationalize_rows(matrix: np.ndarray):
-    """Canonical rational form of a numerical row space.
+def _zero_generators(system: GramSystem, constraints) -> Optional[tuple]:
+    """The face of the Gram matrices cut out by the target's real zeros.
 
-    Numerical RREF removes the basis ambiguity of the subspace; the reduced
-    entries are then rounded with escalating denominators and accepted only
-    if the rounding error stays small.
+    At a zero z of the target with every h_i(z) >= 0 the identity sums the
+    nonnegative terms (b_e(z)' Q_e b_e(z)) * h^e(z) to 0, so Q_e b_e(z) = 0
+    in every block with h^e(z) > 0.  Each such block's generators are
+    restricted to the exact nullspace of its rows b_e(z).  The zeros are
+    sought on {-1, 0, 1}^n, evaluated exactly.  Returns (zeros, per-block
+    generators of the restricted blocks), or None when no block gains a row.
     """
-    a = np.array(matrix, dtype=float)
-    n_rows, n_cols = a.shape
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        pivot = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[pivot, c]) < 1e-7:
+    zeros = []
+    rows = {b: [] for b in system.active_indices}
+    for z in iter_product((-1, 0, 1), repeat=system.n_vars):
+        if not any(z) or system.target.evaluate(z) != 0:
             continue
-        a[[r, pivot]] = a[[pivot, r]]
-        a[r] = a[r] / a[r, c]
-        for other in range(n_rows):
-            if other != r:
-                a[other] = a[other] - a[other, c] * a[r]
-        r += 1
-    a = a[:r]
-    # the subspace itself carries the solver's convergence noise, so accept a
-    # loose match: a wrong guess only wastes an attempt, the reduced system
-    # and the final verification are exact
-    for bound in KERNEL_ROUNDING_DENOMINATORS:
-        rat = [[Fraction(float(x)).limit_denominator(bound) for x in row] for row in a]
-        err = max(
-            (abs(float(rat[i][j]) - a[i, j]) for i in range(len(rat)) for j in range(n_cols)),
-            default=0.0,
-        )
-        if err < 1e-3:
-            return rat
-    return None
-
-
-def _kernel_generators(system: GramSystem, q_float: dict) -> Optional[dict]:
-    """Per-block generators spanning the complement of the numerical kernel.
-
-    Returns None when no block has a detectable kernel or when the kernel
-    does not rationalize cleanly.
-    """
+        if any(h.evaluate(z) < 0 for h in constraints):
+            continue
+        zeros.append(z)
+        for b, block_rows in rows.items():
+            if system.blocks[b].multiplier.evaluate(z) > 0:
+                row = {i: v for i, gen in enumerate(system.generators[b]) if (v := gen.evaluate(z))}
+                if row:
+                    block_rows.append(row)
     reduced = {}
-    found = False
-    for b in system.active_indices:
-        q = np.asarray(q_float[b], dtype=float)
-        w, v = np.linalg.eigh((q + q.T) / 2.0)
-        scale = max(1.0, float(w[-1]) if len(w) else 1.0)
-        cut = KERNEL_EIGENVALUE_CUT * scale
-        small = [i for i, val in enumerate(w) if val < cut]
-        if not small:
+    for b, block_rows in rows.items():
+        if not block_rows:
             continue
-        if len(small) == len(w):
-            return None
-        kernel_rows = _rationalize_rows(v[:, small].T)
-        if kernel_rows is None:
-            return None
-        sparse = [
-            {i: val for i, val in enumerate(row) if val} for row in kernel_rows
-        ]
-        complement = ratlin.nullspace(sparse, q.shape[0])
-        if len(complement) != len(w) - len(kernel_rows):
-            return None
-        gens_old = system.generators[b]
-        new_gens = []
-        for vec in complement:
-            p = Polynomial.zero(system.n_vars)
-            for coeff, gen in zip(vec, gens_old):
-                if coeff:
-                    p = p + coeff * gen
-            new_gens.append(p)
-        reduced[b] = tuple(new_gens)
-        found = True
-    return reduced if found else None
+        gens = system.generators[b]
+        reduced[b] = tuple(
+            sum((c * gen for c, gen in zip(vec, gens) if c), Polynomial.zero(system.n_vars))
+            for vec in ratlin.nullspace(block_rows, len(gens))
+        )
+    return (zeros, reduced) if reduced else None
 
 
 def _round_and_certify(system, q_float, bounds, meta, margin_value):
@@ -275,33 +235,36 @@ def _round_and_certify(system, q_float, bounds, meta, margin_value):
     return None, attempts, "not PSD at any denominator bound"
 
 
-def _exact_phase(system: GramSystem, q_float: dict, t_star: float, options: SearchOptions, meta: dict):
-    cert, attempts, note = _round_and_certify(
-        system, q_float, options.denominator_bounds, meta, t_star
-    )
+def _exact_phase(system: GramSystem, q_float: dict, t_star: float, options: SearchOptions, meta: dict,
+                 borderline: bool = False):
+    # finer rungs cannot beat a margin in the solver's borderline band, so a
+    # borderline solve tries the first bound and goes on to the face
+    bounds = options.denominator_bounds[:1] if borderline else options.denominator_bounds
+    cert, attempts, note = _round_and_certify(system, q_float, bounds, meta, t_star)
     if cert is not None:
         return cert, attempts, note
 
-    reduced_gens = _kernel_generators(system, q_float)
-    if reduced_gens is None:
+    face = _zero_generators(system, meta["constraints"])
+    if face is None:
         return None, attempts, note
+    zeros, reduced_gens = face
     reduced = build_reduced_system(system, reduced_gens)
     if not isinstance(reduced, GramSystem):
-        return None, attempts, f"{note}; kernel restriction infeasible"
-    problem = system_to_sdp(reduced)
-    solution = sdp.solve(problem, options.gap_tolerance)
+        return None, attempts, f"{note}; face restriction infeasible"
+    solution = sdp.solve(system_to_sdp(reduced), options.gap_tolerance)
     if not solution.converged:  # no verdict, so t_star is no margin
-        return None, attempts, f"{note}; kernel-restricted solve {solution.status.replace('_', ' ')}"
+        return None, attempts, f"{note}; face-restricted solve {solution.status.replace('_', ' ')}"
     if solution.status != sdp.MARGIN_FEASIBLE:
-        return None, attempts, f"{note}; kernel-restricted margin {solution.t_star:.2e}"
+        return None, attempts, f"{note}; face-restricted margin {solution.t_star:.2e}"
     rq_float = _gram_float(reduced, solution, solution.t_star)
     cert, more, note2 = _round_and_certify(
         reduced, rq_float, options.denominator_bounds, meta, solution.t_star
     )
     attempts += more
     if cert is not None:
-        return cert, attempts, "kernel-restricted"
-    return None, attempts, f"{note}; kernel-restricted rounding failed: {note2}"
+        sizes = ", ".join(f"{system.block_dim(b)} -> {len(g)}" for b, g in reduced_gens.items())
+        return cert, attempts, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}"
+    return None, attempts, f"{note}; face-restricted rounding failed: {note2}"
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +306,13 @@ def _attempt(
         return ScanRecord(exponent, solution.status, t_star=solution.t_star), None
 
     # margin_feasible or borderline: round.
-    shift = solution.t_star if solution.status == sdp.MARGIN_FEASIBLE else max(solution.t_star, 0.0)
-    q_float = _gram_float(system, solution, shift)
-    cert, attempts, note = _exact_phase(system, q_float, solution.t_star, options, meta)
+    borderline = solution.status == sdp.BORDERLINE
+    q_float = _gram_float(system, solution, max(solution.t_star, 0.0))
+    cert, attempts, note = _exact_phase(system, q_float, solution.t_star, options, meta, borderline)
     if cert is not None:
         status = CERTIFIED
     else:
-        status = BORDERLINE if solution.status == sdp.BORDERLINE else ROUNDING_FAILED
+        status = BORDERLINE if borderline else ROUNDING_FAILED
     return ScanRecord(exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note), cert
 
 
@@ -555,8 +518,6 @@ def _grid_points(n_vars: int):
     res = _GRID_RESOLUTION.get(n_vars)
     if res is None:
         return
-    from itertools import product as iter_product
-
     half = (res - 1) // 2
     axis = [Fraction(i - half, half) for i in range(res)]
     for combo in iter_product(axis, repeat=n_vars):

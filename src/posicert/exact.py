@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Mapping, Optional, Sequence
 
 from .gram import GramSystem
@@ -406,9 +406,12 @@ def _parse_fraction(text: str, context: str) -> Fraction:
 
 def _parse_float(text: str, key: str) -> float:
     try:
-        return float(text.strip())
+        value = float(text.strip())
     except ValueError:
         raise ParseError(f"{key}: expected a number, found {text!r}") from None
+    if not isfinite(value):
+        raise ParseError(f"{key}: must be finite, found {text.strip()!r}")
+    return value
 
 
 def parse_certificate(document: str) -> Certificate:
@@ -454,6 +457,8 @@ def parse_certificate(document: str) -> Certificate:
         if "denominator_bound" in header
         else None
     )
+    if denominator_bound is not None and denominator_bound < 1:
+        raise ParseError(f"denominator_bound: must be at least 1, found {denominator_bound}")
 
     blocks = []
     for raw in raw_blocks:

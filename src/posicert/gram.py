@@ -341,9 +341,9 @@ def build_gram_system(
 def build_reduced_system(system: GramSystem, block_generators: Mapping):
     """Re-pose a system over new per-block generator polynomials.
 
-    Used after a kernel restriction: the generators are rational combinations
-    of the original basis monomials.  Blocks absent from the mapping keep
-    their monomial generators.
+    Used after the face restriction at the target's real zeros: the
+    generators are rational combinations of the original basis monomials.
+    Blocks absent from the mapping keep their monomial generators.
     """
     target = system.target
     n_vars = target.n_vars
@@ -369,7 +369,7 @@ def build_reduced_system(system: GramSystem, block_generators: Mapping):
         )
         generators.append(gens)
     if not any(b.active for b in blocks):
-        return ParityInfeasible(reason="kernel restriction removed every generator")
+        return ParityInfeasible(reason="face restriction removed every generator")
     return _assemble(target, system.grading, blocks, generators)
 
 

@@ -165,6 +165,11 @@ def test_verify_negative_exponent_is_input_error(tmp_path, capsys):
         ("e = ()", "e = (a)", "e:"),
         ("h = []", "h = []\nmargin = abc", "margin:"),
         ("vars = x, y", "vars = ", "vars:"),
+        ("h = []", "h = []\nmargin = nan", "margin:"),
+        ("h = []", "h = []\nmargin = inf", "margin:"),
+        ("h = []", "h = []\nmargin = -inf", "margin:"),
+        ("h = []", "h = []\ndenominator_bound = 0", "denominator_bound:"),
+        ("h = []", "h = []\ndenominator_bound = -5", "denominator_bound:"),
     ],
 )
 def test_verify_malformed_entry_is_input_error(old, new, key, tmp_path, capsys):
@@ -172,6 +177,14 @@ def test_verify_malformed_entry_is_input_error(old, new, key, tmp_path, capsys):
     path.write_text(path.read_text().replace(old, new))
     assert cli.main(["verify", str(path)]) == 3
     assert key in capsys.readouterr().err
+
+
+def test_verify_accepts_a_negative_finite_margin(tmp_path, capsys):
+    # a borderline solve certifies with t* slightly below zero
+    path = _circle_certificate(tmp_path, 0)
+    path.write_text(path.read_text().replace("h = []", "h = []\nmargin = -1.25e-09\ndenominator_bound = 1"))
+    assert cli.main(["verify", str(path)]) == 0
+    assert "Valid" in capsys.readouterr().out
 
 
 def test_verify_rejects_an_unreachable_degree_before_expanding(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Search orchestration: scans, precheck, epsilon mode, determinism."""
 
 import dataclasses
+import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,7 +11,7 @@ import pytest
 
 from posicert import driver, sdp
 from posicert.driver import (
-    _kernel_generators,
+    _zero_generators,
     certify,
     epsilon_margin,
     odd_power,
@@ -23,6 +25,7 @@ from posicert.poly import Grading, Polynomial, sum_of_squared_variables
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
 def make_spec(f_text, variables, **kwargs):
@@ -230,17 +233,21 @@ class TestPrecheck:
         assert w != v
 
 
+MOTZKIN = "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"
+G_XYZ = "x^2 + y^2 + z^2"
+GRID = [z for z in itertools.product((-1, 0, 1), repeat=3) if any(z)]
+
+
 class TestKernelRestriction:
     def test_boundary_instance_reduces_and_certifies(self):
         # the classical boundary case: margin exactly zero at n = 1
-        f = parse_polynomial("x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2", XYZ)
-        g = parse_polynomial("x^2 + y^2 + z^2", XYZ)
+        f = parse_polynomial(MOTZKIN, XYZ)
+        g = parse_polynomial(G_XYZ, XYZ)
         system = build_gram_system(f, g, 1, (), Grading.single(3))
         assert isinstance(system, GramSystem)
         solution = sdp.solve(system_to_sdp(system), 1e-8, 100)
         assert abs(solution.t_star) <= 1e-6  # genuinely on the boundary
-        q_float = driver._gram_float(system, solution, max(solution.t_star, 0.0))
-        generators = _kernel_generators(system, q_float)
+        zeros, generators = _zero_generators(system, ())
         assert generators is not None
         reduced = build_reduced_system(system, generators)
         assert isinstance(reduced, GramSystem)
@@ -249,13 +256,73 @@ class TestKernelRestriction:
         assert reduced_solution.status == sdp.MARGIN_FEASIBLE
         assert reduced_solution.t_star > 1e-3  # interior after the restriction
 
+    @pytest.mark.parametrize("n, before, after", [(1, 9, 5), (2, 15, 11), (3, 22, 18), (4, 30, 26)])
+    def test_restricted_generators_vanish_at_every_grid_zero(self, n, before, after):
+        f = parse_polynomial(MOTZKIN, XYZ)
+        g = parse_polynomial(G_XYZ, XYZ)
+        system = build_gram_system(f, g, n, (), Grading.single(3))
+        zeros, generators = _zero_generators(system, ())
+        assert zeros == [z for z in GRID if system.target.evaluate(z) == 0]
+        assert len(zeros) == 12
+        assert (system.block_dim(0), len(generators[0])) == (before, after)
+        assert all(gen.evaluate(z) == 0 for gen in generators[0] for z in zeros)
+
+    def test_robinson_certifies_on_its_face(self):
+        # the numeric kernel guess left R*g^2 undecided; its 20 grid zeros
+        # cut the block from 21 to 11 and the face has a positive margin
+        robinson = (
+            "x^6 + y^6 + z^6 - x^4*y^2 - x^2*y^4 - x^4*z^2 - x^2*z^4 - y^4*z^2 - y^2*z^4"
+            " + 3*x^2*y^2*z^2"
+        )
+        spec = make_spec(f"({robinson})*({G_XYZ})^2", XYZ, mode="check-sos")
+        report = certify(spec)
+        assert report.outcome == driver.OUTCOME_CERTIFICATE
+        assert report.records[0].note == "face-restricted at 20 zeros, block sizes 21 -> 11"
+        assert verify_certificate(report.certificate).valid
+
+    def test_no_grid_zero_means_no_restriction(self, monkeypatch):
+        perturbed = parse_problem((PROBLEMS / "perturbed_motzkin.txt").read_text())
+        system = build_gram_system(perturbed.f, perturbed.g, 1, (), Grading.single(3))
+        assert _zero_generators(system, ()) is None
+        stengle = parse_problem((PROBLEMS / "stengle.txt").read_text())
+        one = Polynomial.one(2)
+        system = build_gram_system(stengle.f**3, one, 0, (), stengle.grading)
+        assert _zero_generators(system, ()) is None
+        # Stengle m = 3 ends borderline: one rung, no face, no second solve
+        calls = []
+        solve = sdp.solve
+        monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        record, cert = driver._attempt(
+            stengle.f**3, one, (), stengle.grading, stengle.variables, 0, driver.SearchOptions()
+        )
+        assert cert is None and record.status == driver.BORDERLINE
+        assert record.rounding_attempts == 1
+        assert len(calls) == 1
+
+    def test_zero_outside_the_constraint_set_or_multiplier_is_skipped(self):
+        # (x^2 - y^2)^2 vanishes at (+-1, +-1); x*y is negative at two of them
+        f = parse_polynomial("(x^2 - y^2)^2", XY)
+        one = Polynomial.one(2)
+        h = parse_polynomial("x*y", XY)
+        system = build_gram_system(f, one, 0, (h,), Grading.single(2))
+        zeros, generators = _zero_generators(system, (h,))
+        assert zeros == [(-1, -1), (1, 1)]
+        assert sorted(generators) == system.active_indices  # both multipliers are 1 there
+        # x^2 - y^2 vanishes at all four zeros: its block keeps its generators
+        h = parse_polynomial("x^2 - y^2", XY)
+        system = build_gram_system(f, one, 0, (h,), Grading.single(2))
+        zeros, generators = _zero_generators(system, (h,))
+        assert len(zeros) == 4
+        (restricted,) = generators
+        assert system.blocks[restricted].multiplier == one
+
 
 @pytest.mark.parametrize(
     "status, t_star, ending",
     [
-        (sdp.NUMERICAL_FAILURE, -293.0, "kernel-restricted solve numerical failure"),
-        (sdp.MAX_ITERATIONS, -293.0, "kernel-restricted solve max iterations"),
-        (sdp.MARGIN_NEGATIVE, -1e-3, "kernel-restricted margin -1.00e-03"),
+        (sdp.NUMERICAL_FAILURE, -293.0, "face-restricted solve numerical failure"),
+        (sdp.MAX_ITERATIONS, -293.0, "face-restricted solve max iterations"),
+        (sdp.MARGIN_NEGATIVE, -1e-3, "face-restricted margin -1.00e-03"),
     ],
 )
 def test_kernel_restricted_note_reports_margin_only_on_convergence(monkeypatch, status, t_star, ending):
@@ -316,6 +383,16 @@ def test_one_solve_per_exponent(monkeypatch):
     assert report.outcome == driver.OUTCOME_CERTIFICATE
     assert [rec.status for rec in report.records] == [driver.CERTIFIED]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("eps, bound", [("1/1000", 10**4), ("1/100000", 10**8)])
+def test_small_margin_certifies_on_a_later_rung(eps, bound):
+    # (M + eps*g^3)*g has margin about eps: rounding to denominators of 10^2
+    # moves the Gram matrix by more than that, a finer rung does not
+    spec = make_spec(f"({MOTZKIN} + {eps}*({G_XYZ})^3)*({G_XYZ})", XYZ, mode="check-sos")
+    report = certify(spec)
+    assert report.outcome == driver.OUTCOME_CERTIFICATE
+    assert report.certificate.denominator_bound == bound
 
 
 def test_solver_does_not_claim_inconsistent_systems():
