@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,11 +52,11 @@ DEFAULT_DENOMINATOR_BOUNDS = (10**2, 10**4, 10**8, 10**12)
 # scan record statuses
 PARITY_INFEASIBLE = "parity_infeasible"
 SUPPORT_INFEASIBLE = "support_infeasible"
-MARGIN_NEGATIVE = "margin_negative"
+MARGIN_NEGATIVE = sdp.MARGIN_NEGATIVE  # _attempt records a solve's status as it is
 CERTIFIED = "certified"
 ROUNDING_FAILED = "rounding_failed"
-BORDERLINE = "borderline"
-MAX_ITERATIONS = "max_iterations"
+BORDERLINE = sdp.BORDERLINE
+MAX_ITERATIONS = sdp.MAX_ITERATIONS
 
 OUTCOME_CERTIFICATE = "certificate"
 OUTCOME_NOT_FOUND = "not_found"
@@ -101,22 +101,17 @@ class SearchReport:
 # ---------------------------------------------------------------------------
 
 
-def system_to_sdp(
-    system: GramSystem,
-    column: Optional[dict] = None,
-    row_indices: Optional[Sequence[int]] = None,
-) -> sdp.SdpProblem:
-    """Pose the matching system as a block SDP maximizing one free scalar.
+def system_to_sdp(system: GramSystem, column: Optional[dict] = None) -> sdp.SdpProblem:
+    """Pose the system's independent rows as a block SDP maximizing one free scalar.
 
     The scalar's coefficient in constraint k is column[k] (absent keys are
     zero).  The default column is the margin's: <A_k, I> summed over the
-    blocks, i.e. Q = X + t*I with t maximized.  Only the rows in
-    row_indices are posed (default: the system's independent rows).
+    blocks, i.e. Q = X + t*I with t maximized.
     """
     active = system.active_indices
     dims = tuple(system.block_dim(b) for b in active)
     position = {b: i for i, b in enumerate(active)}
-    rows = list(row_indices) if row_indices is not None else list(system.independent)
+    rows = system.independent
     m = len(rows)
     a_blocks = [np.zeros((m, d, d)) for d in dims]
     b_vec = np.zeros(m)
@@ -147,19 +142,6 @@ def system_to_sdp(
                 t[k] /= scale
             c_vec[k] /= scale
     return sdp.SdpProblem(block_dims=dims, a_blocks=a_blocks, c=c_vec, b=b_vec)
-
-
-def _independent_with_column(system: GramSystem, column: dict):
-    """Independent consistent rows of the system with a free scalar's column."""
-    nq = len(system.unknown_layout)
-    rows = []
-    for k in range(len(system.constraints)):
-        row = system.row_sparse(k)
-        if column.get(k):
-            row[nq] = column[k]
-        rows.append(row)
-    rhs = [c.rhs for c in system.constraints]
-    return ratlin.row_reduce(rows, rhs)
 
 
 def _gram_float(system: GramSystem, solution: sdp.SdpSolution, shift: float) -> dict:
@@ -302,7 +284,7 @@ def _attempt(
     solution = sdp.solve(system_to_sdp(system), options.gap_tolerance)
     if solution.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"SDP solver failed at exponent {exponent}")
-    if solution.status in (sdp.MARGIN_NEGATIVE, sdp.MAX_ITERATIONS):  # record statuses of the same names
+    if solution.status in (MARGIN_NEGATIVE, MAX_ITERATIONS):
         return ScanRecord(exponent, solution.status, t_star=solution.t_star), None
 
     # margin_feasible or borderline: round.
@@ -458,11 +440,9 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
             for k, con in enumerate(system.constraints)
             if eps_poly.coefficient(con.monomial)
         }
-        indep, inconsistent = _independent_with_column(system, column)
-        if inconsistent is not None:
-            return no_certificate(SUPPORT_INFEASIBLE, note="system inconsistent with margin column")
-        problem = system_to_sdp(system, column, indep)
-        solution = sdp.solve(problem, options.gap_tolerance)
+        # no unknown of this monomial system is in two rows, so every row is
+        # independent, with or without the column, and all of them are posed
+        solution = sdp.solve(system_to_sdp(system, column), options.gap_tolerance)
         if solution.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"SDP solver failed in epsilon stage at n={n}")
         eps_star = solution.t_star

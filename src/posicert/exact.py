@@ -63,43 +63,38 @@ def project_to_constraints(q_matrices: Mapping, system: GramSystem):
     """Exact Frobenius-orthogonal projection onto the affine solution set.
 
     q_matrices maps active block index -> symmetric rational matrix.  The
-    normal equations of the independent constraint rows are solved exactly;
-    the output satisfies every constraint of the system exactly.
+    normal equations of the independent rows are solved exactly; two rows
+    meet in the normal matrix only through the unknowns they share, so it
+    is summed unknown by unknown.  The output satisfies every constraint of
+    the system exactly.
     """
-    q0 = system.flatten(q_matrices)
+    q = system.flatten(q_matrices)
     weights = system.frobenius_weights()
-    rows = [system.row_sparse(k) for k in system.independent]
-    rhs = [system.constraints[k].rhs for k in system.independent]
-    m = len(rows)
-    if m:
-        gram = [[Fraction(0)] * m for _ in range(m)]
-        for a in range(m):
-            for bb in range(a, m):
-                acc = Fraction(0)
-                small, large = (rows[a], rows[bb]) if len(rows[a]) <= len(rows[bb]) else (rows[bb], rows[a])
-                for col, va in small.items():
-                    vb = large.get(col)
-                    if vb is not None:
-                        acc += va * vb / weights[col]
-                gram[a][bb] = acc
-                gram[bb][a] = acc
-        residual = []
-        for row, b in zip(rows, rhs):
-            residual.append(b - sum(v * q0[col] for col, v in row.items()))
-        try:
-            lam = ratlin.solve_dense(gram, residual)
-        except ValueError:
-            raise InconsistentSystemError("independent constraint rows are degenerate") from None
-        q = list(q0)
-        for row, l in zip(rows, lam):
-            if l:
-                for col, v in row.items():
-                    q[col] += v * l / weights[col]
-    else:
-        q = list(q0)
+    rows = [system.rows[k] for k in system.independent]
+    sharing = {}  # unknown -> positions of the independent rows touching it
+    for a, row in enumerate(rows):
+        for col in row:
+            sharing.setdefault(col, []).append(a)
+    gram = [[Fraction(0)] * len(rows) for _ in rows]
+    for col, members in sharing.items():
+        for a in members:
+            va = rows[a][col] / weights[col]
+            for b in members:
+                gram[a][b] += va * rows[b][col]
+    residual = [
+        system.constraints[k].rhs - sum(v * q[col] for col, v in row.items())
+        for k, row in zip(system.independent, rows)
+    ]
+    try:
+        lam = ratlin.solve_dense(gram, residual)
+    except ValueError:
+        raise InconsistentSystemError("independent constraint rows are degenerate") from None
+    for row, l in zip(rows, lam):
+        if l:
+            for col, v in row.items():
+                q[col] += v * l / weights[col]
 
-    for k, constraint in enumerate(system.constraints):
-        row = system.row_sparse(k)
+    for constraint, row in zip(system.constraints, system.rows):
         if sum(v * q[col] for col, v in row.items()) != constraint.rhs:
             raise InconsistentSystemError(
                 f"constraint at monomial {constraint.monomial} cannot be satisfied"
@@ -210,7 +205,7 @@ class VerifyResult:
 def _format_coefficient(c: Fraction) -> str:
     """``str(c)``, but a numerator or denominator of more than 40 digits is
     shown by its digit count: ``str`` refuses integers past 4300 digits, and
-    ``g^N`` reaches them at a moderate N when g is a constant."""
+    the expanded sides of a certificate can reach them."""
 
     def part(k: int) -> str:
         digits = int((k.bit_length() - 1) * 0.30102999566398120) + 1 if k else 1
@@ -225,7 +220,9 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     """Re-prove the identity from scratch in exact arithmetic.
 
     Recomputes f*g^n and the weighted-square side with pure polynomial
-    operations, checks w_j > 0, and compares term maps.  No numerics.
+    operations, checks w_j > 0, and compares term maps.  No numerics.  The
+    degree of g^n, and for a constant g the size of its coefficient, are
+    checked against the squares side before g^n is expanded.
     """
     n_vars = len(cert.variables)
     for block in cert.blocks:
@@ -263,7 +260,6 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
                 False, f"degree mismatch: f*g^N has degree {target_degree}, the squares side {side}"
             )
 
-    lhs = cert.f * cert.g**cert.n
     rhs = Polynomial.zero(n_vars)
     for block in cert.blocks:
         s = Polynomial.zero(n_vars)
@@ -274,6 +270,26 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
             if e:
                 multiplier = multiplier * h
         rhs = rhs + s * multiplier
+
+    lhs = cert.f  # a zero f needs no g^N
+    if not cert.f.is_zero():
+        # a constant g = p/q needs (p/q)^N = R_a/f_a at f's leading monomial a,
+        # both in lowest terms; a power too long for its side fails unexpanded
+        if not cert.g.is_zero() and cert.g.total_degree() == 0:
+            c = cert.g.coefficient((0,) * n_vars)
+            ev = max(cert.f.terms, key=grlex_key)
+            f_a, r_a = cert.f.coefficient(ev), rhs.coefficient(ev)
+            ratio = r_a / f_a
+            for b, part in ((abs(c.numerator), abs(ratio.numerator)), (c.denominator, ratio.denominator)):
+                if b > 1 and cert.n * (b.bit_length() - 1) >= part.bit_length():
+                    mono = format_monomial(ev, cert.variables)
+                    return VerifyResult(
+                        False,
+                        f"coefficient mismatch at monomial {mono}: "
+                        f"target has ({_format_coefficient(c)})^{cert.n} * {_format_coefficient(f_a)}, "
+                        f"squares give {_format_coefficient(r_a)}",
+                    )
+        lhs = cert.f * cert.g**cert.n
     if lhs != rhs:
         diff = lhs - rhs
         ev = sorted(diff.terms, key=grlex_key, reverse=True)[0]

@@ -60,7 +60,12 @@ class LinearConstraint:
 
 
 class GramSystem:
-    """Assembled coefficient-matching system for one target."""
+    """Assembled coefficient-matching system for one target.
+
+    The constraints are also read as sparse rows over the unknown layout
+    (`rows`), built once on first use and shared by the row reduction here
+    and the exact projection.
+    """
 
     def __init__(self, target, grading, blocks, generators, constraints, independent):
         self.target: Polynomial = target
@@ -70,6 +75,7 @@ class GramSystem:
         self.constraints: tuple = constraints  # LinearConstraint, grlex-descending
         self.independent: tuple = independent  # indices of an independent consistent subset
         self._layout = None
+        self._rows = None
 
     @property
     def n_vars(self) -> int:
@@ -95,25 +101,25 @@ class GramSystem:
             self._layout = layout
         return self._layout
 
-    @property
-    def unknown_index(self) -> dict:
-        return {key: k for k, key in enumerate(self.unknown_layout)}
-
     def frobenius_weights(self) -> list:
         """Weight of each unknown in the Frobenius norm (off-diagonal twice)."""
         return [Fraction(1) if i == j else Fraction(2) for (_, i, j) in self.unknown_layout]
 
-    def row_sparse(self, k: int) -> dict:
-        """Constraint k as a sparse row over the unknown layout.
+    @property
+    def rows(self) -> tuple:
+        """The constraints as sparse rows over the unknown layout, built once.
 
-        Off-diagonal coefficients are doubled: the row encodes
-        sum_i c_ii q_ii + 2 sum_{i<j} c_ij q_ij = rhs.
+        Off-diagonal coefficients are doubled: row k encodes
+        sum_i c_ii q_ii + 2 sum_{i<j} c_ij q_ij = rhs_k.  The rows are
+        shared, so no caller may mutate one.
         """
-        index = self.unknown_index
-        row = {}
-        for (b, i, j), c in self.constraints[k].coefficients.items():
-            row[index[(b, i, j)]] = c if i == j else 2 * c
-        return row
+        if self._rows is None:
+            index = {key: k for k, key in enumerate(self.unknown_layout)}
+            self._rows = tuple(
+                {index[(b, i, j)]: c if i == j else 2 * c for (b, i, j), c in con.coefficients.items()}
+                for con in self.constraints
+            )
+        return self._rows
 
     def flatten(self, matrices: Mapping) -> list:
         """Upper triangles of per-active-block matrices as one vector."""
@@ -249,9 +255,7 @@ def _assemble(target: Polynomial, grading: Grading, blocks, generators):
     )
     system = GramSystem(target, grading, tuple(blocks), tuple(generators), constraints, ())
 
-    sparse = [system.row_sparse(k) for k in range(len(constraints))]
-    rhs = [c.rhs for c in constraints]
-    independent, inconsistent = ratlin.row_reduce(sparse, rhs)
+    independent, inconsistent = ratlin.row_reduce(system.rows, [c.rhs for c in constraints])
     if inconsistent is not None:
         ev = constraints[inconsistent].monomial
         return SupportInfeasible(

@@ -277,7 +277,6 @@ class ProblemSpec:
     n_max: int = 10
     m_max: int = 11
     h_margin: Optional[Polynomial] = None
-    homogeneous_required: bool = False
 
     @property
     def r(self) -> int:
@@ -499,5 +498,4 @@ def parse_problem(document: str) -> ProblemSpec:
         n_max=n_max,
         m_max=m_max,
         h_margin=h_margin,
-        homogeneous_required=homogeneous,
     )

@@ -1,6 +1,7 @@
 """Command line interface and exit codes."""
 
 import pathlib
+import time
 
 import pytest
 
@@ -194,18 +195,45 @@ def test_verify_rejects_an_unreachable_degree_before_expanding(tmp_path, capsys)
     assert "Invalid" in out and "degree 6002" in out and "at most 2" in out
 
 
-def test_verify_reports_a_coefficient_too_long_to_print(tmp_path, capsys):
-    # 2^20000 * (x^2 + y^2) against x^2 + y^2: the degrees agree, the
-    # coefficients do not, and 2^20000 has more digits than str() allows
+def _squares_certificate(tmp_path, f, g, n, weight=1):
+    """f * g^n = weight * (x^2 + y^2) claimed as a certificate file."""
     doc = (
-        'vars = x, y\nf = "x^2 + y^2"\ng = "2"\nh = []\n'
-        'N = 20000\ne = ()\nbasis = [x, y]\nsquares = [(1, "x"), (1, "y")]\n'
+        f'vars = x, y\nf = "{f}"\ng = "{g}"\nh = []\n'
+        f'N = {n}\ne = ()\nbasis = [x, y]\nsquares = [({weight}, "x"), ({weight}, "y")]\n'
     )
-    path = tmp_path / "constant_g.cert"
+    path = tmp_path / f"squares_{n}.cert"
     path.write_text(doc)
-    assert cli.main(["verify", str(path)]) == 1
+    return path
+
+
+def test_verify_reports_a_coefficient_too_long_to_print(tmp_path, capsys):
+    # 2^20000 cannot equal the squares' 1: the power is named, not expanded
+    assert cli.main(["verify", str(_squares_certificate(tmp_path, "x^2 + y^2", "2", 20000))]) == 1
     out = capsys.readouterr().out
-    assert "coefficient mismatch at monomial x^2: target has <6021 digits>, squares give 1" in out
+    assert "coefficient mismatch at monomial x^2: target has (2)^20000 * 1, squares give 1" in out
+    # 2^200 against 2^200 + 1 passes that bound; both sides have 61 digits
+    assert cli.main(["verify", str(_squares_certificate(tmp_path, "x^2 + y^2", "2", 200, 2**200 + 1))]) == 1
+    out = capsys.readouterr().out
+    assert "coefficient mismatch at monomial x^2: target has <61 digits>, squares give <61 digits>" in out
+
+
+@pytest.mark.parametrize(
+    "f, g, n",
+    [("0", "x^2 + y^2", 3000), ("x^2 + y^2", "2", 10**8)],
+    ids=["zero_f", "constant_g"],
+)
+def test_verify_does_not_expand_g_power_in_vain(f, g, n, tmp_path, capsys):
+    # expanding g^N would take about 30 s (zero f) and 53 s (constant g)
+    start = time.perf_counter()
+    assert cli.main(["verify", str(_squares_certificate(tmp_path, f, g, n))]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert "Invalid: coefficient mismatch at monomial x^2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("g, weight", [("2", 16), ("1/2", "1/16")])
+def test_verify_accepts_a_constant_g_power(g, weight, tmp_path, capsys):
+    assert cli.main(["verify", str(_squares_certificate(tmp_path, "x^2 + y^2", g, 4, weight))]) == 0
+    assert "Valid" in capsys.readouterr().out
 
 
 def test_negative_samples_is_input_error(capsys):

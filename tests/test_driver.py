@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from posicert import driver, sdp
+from posicert import driver, gram, ratlin, sdp
 from posicert.driver import (
     _zero_generators,
     certify,
@@ -166,6 +166,23 @@ class TestEpsilonMargin:
         report = epsilon_margin(spec)
         assert report.outcome == "rejected"
         assert any("unbounded" in w for w in report.warnings)
+
+    def test_each_system_is_row_reduced_once(self, monkeypatch):
+        # n = 0, 1: one epsilon system and one certify system each
+        calls = {"assemble": 0, "row_reduce": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(gram, "_assemble", counting("assemble", gram._assemble))
+        monkeypatch.setattr(ratlin, "row_reduce", counting("row_reduce", ratlin.row_reduce))
+        report = epsilon_margin(parse_problem((PROBLEMS / "epsilon_example.txt").read_text()))
+        assert report.outcome == "certificate"
+        assert calls == {"assemble": 4, "row_reduce": 4}
 
     def test_zero_of_f_forces_epsilon_to_zero(self):
         spec = make_spec(

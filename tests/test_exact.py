@@ -24,7 +24,8 @@ from posicert.exact import (
     round_to_rational,
     verify_certificate,
 )
-from posicert.gram import GramSystem, build_gram_system
+from posicert.driver import _zero_generators
+from posicert.gram import GramSystem, build_gram_system, build_reduced_system
 from posicert.parsing import ParseError, parse_polynomial
 from posicert.poly import Grading, Polynomial, sum_of_squared_variables
 
@@ -139,8 +140,7 @@ class TestProjection:
                 return total
 
             base = weighted_dist(projected)
-            rows = [system.row_sparse(k) for k in range(len(system.constraints))]
-            kernel = ratlin.nullspace(rows, len(system.unknown_layout))
+            kernel = ratlin.nullspace(system.rows, len(system.unknown_layout))
             flat = system.flatten(projected)
             for _ in range(20):
                 vec = list(flat)
@@ -149,6 +149,62 @@ class TestProjection:
                     vec = [v + c * zi for v, zi in zip(vec, z)]
                 other = system.unflatten(vec)
                 assert weighted_dist(other) >= base
+
+
+def all_pairs_projection(q_matrices, system):
+    """Reference projection: the normal matrix pairs every two independent rows."""
+    index = {key: k for k, key in enumerate(system.unknown_layout)}
+    rows = [
+        {index[(b, i, j)]: c if i == j else 2 * c for (b, i, j), c in system.constraints[k].coefficients.items()}
+        for k in system.independent
+    ]
+    weights = system.frobenius_weights()
+    q = system.flatten(q_matrices)
+    gram = [[sum(v * other.get(col, 0) / weights[col] for col, v in row.items()) for other in rows] for row in rows]
+    residual = [
+        system.constraints[k].rhs - sum(v * q[col] for col, v in row.items())
+        for k, row in zip(system.independent, rows)
+    ]
+    for row, l in zip(rows, ratlin.solve_dense(gram, residual)):
+        for col, v in row.items():
+            q[col] += v * l / weights[col]
+    return system.unflatten(q)
+
+
+def _projection_systems():
+    f = parse_polynomial("x^2 - 1/2*y^2", XY)
+    g = parse_polynomial("x^2 + y^2", XY)
+    h = parse_polynomial("x^2 - y^2", XY)
+    shared = [build_gram_system(f, g, n, (h,), Grading.single(2)) for n in (0, 1)]
+    xyz = ["x", "y", "z"]
+    motzkin = parse_polynomial("x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2", xyz)
+    for k in (1, 2):
+        system = build_gram_system(motzkin, sum_of_squared_variables(3), k, (), Grading.single(3))
+        shared.append(build_reduced_system(system, _zero_generators(system, ())[1]))
+    rng = random.Random(3)
+    terms = {ev: F(rng.randint(-3, 3)) for ev in [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]}
+    square = Polynomial(2, terms)
+    disjoint = build_gram_system(square * square + 1, Polynomial.one(2), 0, (), Grading.single(2))
+    return shared, disjoint
+
+
+def test_projection_matches_all_pairs_reference():
+    shared, disjoint = _projection_systems()
+    for system in shared:  # the face-restricted rows share unknowns
+        touched = [col for k in system.independent for col in system.rows[k]]
+        assert len(touched) > len(set(touched))
+    rng = random.Random(29)
+    for system in shared + [disjoint]:
+        assert isinstance(system, GramSystem)
+        for _ in range(3):
+            q_in = {}
+            for b in system.active_indices:
+                d = system.block_dim(b)
+                q_in[b] = [[F(0)] * d for _ in range(d)]
+                for i in range(d):
+                    for j in range(i, d):
+                        q_in[b][i][j] = q_in[b][j][i] = F(rng.randint(-50, 50), rng.randint(1, 20))
+            assert project_to_constraints(q_in, system) == all_pairs_projection(q_in, system)
 
 
 class TestExactLdlt:

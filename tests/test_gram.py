@@ -1,5 +1,6 @@
 """Basis construction, pruning, and coefficient-matching assembly."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -15,11 +16,12 @@ from posicert.gram import (
     prune_basis,
     reconstruct,
 )
-from posicert.parsing import parse_polynomial
+from posicert.parsing import parse_polynomial, parse_problem
 from posicert.poly import Grading, Polynomial, sum_of_squared_variables
 from posicert import ratlin
 
 XY = ["x", "y"]
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
 
 class TestMonomialBasis:
@@ -72,7 +74,7 @@ class TestBuildGramSystem:
         assert rows[(2, 0)].coefficients == {(0, x_idx, x_idx): 1}
         lo, hi = min(x_idx, y_idx), max(x_idx, y_idx)
         assert rows[(1, 1)].coefficients == {(0, lo, hi): 1}  # doubled in row form
-        assert system.row_sparse(list(rows).index((1, 1))) != {}
+        assert system.rows[list(rows).index((1, 1))] == {system.unknown_layout.index((0, lo, hi)): 2}
 
     def test_odd_degree_form_is_parity_infeasible(self):
         f = parse_polynomial("x^3 + x*y^2", XY)
@@ -176,8 +178,7 @@ def test_any_exact_solution_reconstructs_target():
                 for j in range(d):
                     q0[i][j] += vec[i] * vec[j]
         assert reconstruct(system, {0: q0}) == target
-        rows = [system.row_sparse(k) for k in range(len(system.constraints))]
-        kernel = ratlin.nullspace(rows, len(system.unknown_layout))
+        kernel = ratlin.nullspace(system.rows, len(system.unknown_layout))
         for _ in range(3):
             vec = system.flatten({0: q0})
             for z in kernel:
@@ -193,11 +194,16 @@ def test_unconstrained_monomial_rows_are_all_independent():
     targets = [random_square_sum(rng, n_vars, 2, 3)[0] for n_vars in (1, 2, 3) for _ in range(3)]
     motzkin = parse_polynomial("x^4*y^2 + x^2*y^4 - 3*x^2*y^2*z^2 + z^6", ["x", "y", "z"])
     targets += [motzkin * sum_of_squared_variables(3) ** k for k in range(4)]
-    for target in targets:
-        if target.is_zero():
-            continue
-        n_vars = target.n_vars
-        system = build_gram_system(target, Polynomial.one(n_vars), 0, (), Grading.single(n_vars))
+    # the epsilon stage's targets f*g^(n+1), which it poses with every row
+    eps = parse_problem((PROBLEMS / "epsilon_example.txt").read_text())
+    targets += [eps.f * eps.g ** (n + 1) for n in (0, 1)]
+    cases = [(target, Grading.single(target.n_vars)) for target in targets if not target.is_zero()]
+    # a biquadratic form under the two-block grading (x, y | u, v)
+    xyuv = ["x", "y", "u", "v"]
+    bilinear = [parse_polynomial(text, xyuv) for text in ("x*u - 2*y*v", "3*x*v + y*u", "x*u + y*u - x*v")]
+    cases.append((sum((q * q for q in bilinear), Polynomial.zero(4)), Grading(((0, 1), (2, 3)))))
+    for target, grading in cases:
+        system = build_gram_system(target, Polynomial.one(target.n_vars), 0, (), grading)
         assert isinstance(system, GramSystem)
         assert system.independent == tuple(range(len(system.constraints)))
 
