@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from itertools import product as iter_product
 from typing import Optional
 
@@ -504,11 +505,36 @@ def _grid_points(n_vars: int):
         yield combo
 
 
+def _limit_denominator(x: float, max_denominator: int) -> Fraction:
+    """``Fraction(x).limit_denominator(max_denominator)``, built without its
+    intermediate Fractions: the same continued-fraction walk over the exact
+    value of x, and the same choice between the last convergent and the best
+    semiconvergent (the convergent on a tie), made by cross-multiplication.
+    """
+    num, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p, q)
+
+
 def _sample_points(n_vars: int, samples: int, graded: bool, seed: int):
     """The precheck's sample points in draw order, drawn one at a time."""
     rng = random.Random(seed)
     for _ in range(samples):
-        vec = [Fraction(rng.gauss(0.0, 1.0)).limit_denominator(10**4) for _ in range(n_vars)]
+        vec = [_limit_denominator(rng.gauss(0.0, 1.0), 10**4) for _ in range(n_vars)]
         if all(v == 0 for v in vec):
             continue
         yield tuple(vec)
@@ -518,6 +544,87 @@ def _sample_points(n_vars: int, samples: int, graded: bool, seed: int):
     yield from _grid_points(n_vars)
 
 
+_PRECHECK_BATCH = 256  # points per float pass: larger batches only cost memory
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_NORMAL = 2.0**-1022
+
+
+class _SignFilter:
+    """Exact signs of one polynomial over a batch of points, decided in float64
+    where a proven error bound allows and by ``Polynomial.evaluate`` elsewhere.
+
+    The float value is ``mono @ c`` over the batch's monomial matrix, built
+    from a power table made by repeated multiplication.  A term of degree at
+    most D takes at most K = 2D + n + T + 2 roundings (D coordinate
+    conversions, D + n products, the coefficient's conversion and product,
+    the T - 1 additions), so while nothing underflows the computed value is
+    within gamma_K * sum |c_t m_t| of the exact one, and sum |c_t m_t| is
+    the computed magnitude ``|mono| @ |c|`` up to another factor 1 + gamma_K
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1;
+    K*u stays far below 1/4 for any polynomial that fits in memory).  The
+    sign is therefore certain where
+
+        |value| > 2*K*u * magnitude + slack,    u = 2^-53,
+
+    and ``slack`` covers underflow: each product or conversion may also be
+    off by one smallest normal number (which covers flush-to-zero too),
+    carried through at most D later factors of size at most R = max(1,
+    max |x_i|), so slack = 4*((2D + n + 2) * R^D * sum |c_t| + T) * 2^-1022.
+    A polynomial that is zero, or whose coefficients are not all normal
+    finite floats, is not filtered, nor is a point whose value or bound is
+    not finite (overflow anywhere ends in inf or nan).
+    """
+
+    def __init__(self, poly: Polynomial):
+        self.poly = poly
+        terms = poly.terms
+        self.exponents = np.array(list(terms), dtype=np.intp).reshape(len(terms), poly.n_vars)
+        self.degree = int(self.exponents.sum(axis=1).max(initial=0))
+        try:
+            self.coefficients = np.array([float(c) for c in terms.values()])
+        except OverflowError:  # float(Fraction) raises past the float range
+            self.coefficients = np.array([np.inf])
+        self.magnitudes = np.abs(self.coefficients)
+        self.filtered = bool(terms) and all(_SMALLEST_NORMAL <= c < np.inf for c in self.magnitudes)
+        n_terms, n_vars = self.exponents.shape
+        self.factor = 2 * (2 * self.degree + n_vars + n_terms + 2) * _UNIT_ROUNDOFF
+        self.reach_weight = 4 * (2 * self.degree + n_vars + 2) * float(self.magnitudes.sum())
+        self.slack_floor = 4 * n_terms
+
+    def signs(self, batch, xf: np.ndarray, needed: np.ndarray) -> np.ndarray:
+        """The exact sign (-1, 0 or 1) at each point of the batch where
+        ``needed`` is set; entries elsewhere are meaningless.  ``xf`` is the
+        batch in float64, one row per point."""
+        sign = np.zeros(len(batch), dtype=np.int8)
+        uncertain = needed
+        if self.filtered:
+            value, bound = self._float_pass(xf)
+            certain = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
+            sign[certain] = np.sign(value[certain])
+            uncertain = needed & ~certain
+        for i in np.flatnonzero(uncertain):
+            value = self.poly.evaluate(batch[i])
+            sign[i] = (value > 0) - (value < 0)
+        return sign
+
+    def _float_pass(self, xf: np.ndarray):
+        """The float value at each point and the bound its error stays within."""
+        n_vars = xf.shape[1]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            powers = np.empty((self.degree + 1, n_vars, len(xf)))
+            powers[0] = 1.0
+            for k in range(1, self.degree + 1):
+                powers[k] = powers[k - 1] * xf.T
+            mono = powers[self.exponents[:, 0], 0]
+            for j in range(1, n_vars):
+                mono = mono * powers[self.exponents[:, j], j]
+            value = self.coefficients @ mono
+            magnitude = self.magnitudes @ np.abs(mono)
+            reach = np.maximum(1.0, np.abs(xf).max(axis=1)) ** self.degree
+            slack = (self.reach_weight * reach + self.slack_floor) * _SMALLEST_NORMAL
+            return value, self.factor * magnitude + slack
+
+
 def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -> PrecheckResult:
     """Sample for sign violations of f and g on the constraint set.
 
@@ -525,41 +632,59 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     coordinate rounded to a denominator of at most 10^4: for a graded f the
     sign on a ray is the sign anywhere on it, and a non-graded f is also
     tried at v/4 and 4v.  A deterministic grid on the parameter cube
-    follows.  Points are drawn one at a time, and the first strictly
-    negative value ends the sampling.  Points violating some h_i >= 0 are
-    discarded; every value is exact (see ``Polynomial.evaluate``).  A
-    strictly negative value is a genuine counterexample to the search
-    hypothesis; an exact zero only violates strictness and the search may
-    still be forced.
+    follows.  Points are drawn in batches of at most 256 from a stream that
+    draws one at a time, and the first strictly negative value ends the
+    sampling.  Points violating some h_i >= 0 are discarded.
+
+    Each sign is decided in float64 where a proven error bound decides it
+    (|value| > 2*(2*deg + n + T + 2)*2^-53 * sum |c_t*x^e_t|, T terms, plus
+    an underflow allowance, see ``_SignFilter``); where the bound cannot
+    decide it, at an exact zero for instance, the point is evaluated exactly
+    by ``Polynomial.evaluate``.  Every sign is therefore exact, and every
+    reported value is exact: a negative point's value is always computed by
+    ``Polynomial.evaluate``.  A strictly negative value is a genuine
+    counterexample to the search hypothesis; an exact zero only violates
+    strictness and the search may still be forced.
     """
     n = len(spec.variables)
     try:
         graded = spec.f.multidegree(spec.grading) is not None
     except ValueError:
         graded = False
+    constraints = [_SignFilter(h) for h in spec.constraints]
+    f_filter, g_filter = _SignFilter(spec.f), _SignFilter(spec.g)
 
     negative = None
     zero = None
     kept = 0
     total = 0
-    for point in _sample_points(n, samples, graded, seed):
-        total += 1
-        if all(v == 0 for v in point):
-            continue
-        if any(h.evaluate(point) < 0 for h in spec.constraints):
-            continue
-        kept += 1
-        for which, poly in (("f", spec.f), ("g", spec.g)):
-            value = poly.evaluate(point)
-            if value < 0:
-                if negative is None:
-                    negative = (point, which, value)
-            elif value == 0 and zero is None:
-                zero = (point, which)
-        if negative is not None:
-            break
+    points = _sample_points(n, samples, graded, seed)
+    while negative is None and (batch := list(islice(points, _PRECHECK_BATCH))):
+        xf = np.array(batch, dtype=float)
+        feasible = xf.any(axis=1)
+        for i in np.flatnonzero(~feasible):  # exactly the origin, unless coordinates underflowed
+            feasible[i] = any(batch[i])
+        for h in constraints:
+            feasible &= h.signs(batch, xf, feasible) >= 0
+        f_sign = f_filter.signs(batch, xf, feasible)
+        g_sign = g_filter.signs(batch, xf, feasible)
+        hits = np.flatnonzero(feasible & ((f_sign < 0) | (g_sign < 0)))
+        end = hits[0] + 1 if hits.size else len(batch)  # the first negative point ends the sampling
+        total += int(end)
+        kept += int(np.count_nonzero(feasible[:end]))
+        if zero is None:
+            zeros = np.flatnonzero(feasible[:end] & ((f_sign[:end] == 0) | (g_sign[:end] == 0)))
+            if zeros.size:
+                i = zeros[0]
+                zero = (batch[i], "f" if f_sign[i] == 0 else "g")
+        if hits.size:
+            i = hits[0]
+            which, poly = ("f", spec.f) if f_sign[i] < 0 else ("g", spec.g)
+            negative = (batch[i], which, poly.evaluate(batch[i]))
     warnings = ()
-    if kept == 0:
+    if total == 0:
+        warnings = ("no point was sampled (there is no grid beyond 6 variables): the precheck checked nothing",)
+    elif kept == 0:
         warnings = ("no sample point satisfies every constraint: the feasible set may be thin",)
     return PrecheckResult(negative=negative, zero=zero, kept=kept, total=total, warnings=warnings)
 

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posicert import driver, gram, ratlin, sdp
 from posicert.driver import (
@@ -248,6 +250,196 @@ class TestPrecheck:
         v, quarter, four_v, w = (next(points) for _ in range(4))
         assert quarter == tuple(c / 4 for c in v) and four_v == tuple(4 * c for c in v)
         assert w != v
+
+    def test_batches_still_stream(self):
+        # a batch design that listed every draw would never return
+        result = positivity_precheck(make_spec("x^2 - y^2", XY), samples=10**12)
+        assert result.negative is not None and result.total <= driver._PRECHECK_BATCH
+
+    def test_no_point_sampled_warns_so(self):
+        # more than 6 variables has no grid, so samples = 0 checks no point
+        variables = list("abcdefg")
+        spec = make_spec(" + ".join(f"{v}^2" for v in variables), variables)
+        result = positivity_precheck(spec, samples=0)
+        assert (result.kept, result.total) == (0, 0)
+        assert result.warnings == (
+            "no point was sampled (there is no grid beyond 6 variables): the precheck checked nothing",
+        )
+        assert positivity_precheck(spec, samples=1).warnings == ()
+
+    def test_origin_is_decided_exactly(self, monkeypatch):
+        # a point whose coordinates all round to 0.0 is not the origin
+        tiny = (Fraction(1, 10**400), Fraction(0))
+        monkeypatch.setattr(driver, "_sample_points", lambda *args: iter([(Fraction(0), Fraction(0)), tiny]))
+        result = positivity_precheck(make_spec("-x^2 - y^2", XY))
+        assert result.negative == (tiny, "f", Fraction(-1, 10**800))
+        assert (result.kept, result.total) == (1, 2)
+
+    def test_limit_denominator_matches_fractions(self):
+        draws = random.Random(3)
+        values = [draws.gauss(0.0, 1.0) for _ in range(2000)]
+        values += [0.0, -0.0, 0.5, -2.5e-5, 5e-5, 1 / 3, 1e-300, -1e300, 5e-324, 2.0**52 + 0.5]
+        for bound in (1, 2, 7, 10**4):
+            for x in values:
+                assert driver._limit_denominator(x, bound) == Fraction(x).limit_denominator(bound)
+
+
+def _reference_precheck(spec, samples, seed):
+    """The precheck as it was before batching: one point at a time, every
+    value by Polynomial.evaluate, points rounded by Fraction.limit_denominator."""
+    try:
+        graded = spec.f.multidegree(spec.grading) is not None
+    except ValueError:
+        graded = False
+
+    def sample_points(n_vars):
+        rng = random.Random(seed)
+        for _ in range(samples):
+            vec = [Fraction(rng.gauss(0.0, 1.0)).limit_denominator(10**4) for _ in range(n_vars)]
+            if all(v == 0 for v in vec):
+                continue
+            yield tuple(vec)
+            if not graded:
+                yield tuple(v / 4 for v in vec)
+                yield tuple(4 * v for v in vec)
+        yield from driver._grid_points(n_vars)
+
+    negative = zero = None
+    kept = total = 0
+    for point in sample_points(len(spec.variables)):
+        total += 1
+        if all(v == 0 for v in point):
+            continue
+        if any(h.evaluate(point) < 0 for h in spec.constraints):
+            continue
+        kept += 1
+        for which, poly in (("f", spec.f), ("g", spec.g)):
+            value = poly.evaluate(point)
+            if value < 0:
+                if negative is None:
+                    negative = (point, which, value)
+            elif value == 0 and zero is None:
+                zero = (point, which)
+        if negative is not None:
+            break
+    return negative, zero, kept, total
+
+
+def _parity_cases():
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        for seed in (0, 7):
+            yield pytest.param(spec, 1000, seed, id=f"{path.stem}-{seed}")
+    for seed in range(8):  # the first negative point ends the sampling mid-batch
+        yield pytest.param(make_spec("x^2 - y^2", XY), 200, seed, id=f"indefinite-{seed}")
+    # on the grid alone (samples = 0) the first negative point, in the first
+    # batch (y = 3/5) or in the second (x = 3/5), is g's first zero, or comes
+    # just before it (the zero at 7/10 must not be recorded)
+    for v, root in itertools.product(("y", "x"), ("3/5", "7/10")):
+        spec = make_spec(f"11/20 - {v}", XY, g=parse_polynomial(f"({v} - {root})^2", XY))
+        yield pytest.param(spec, 0, 0, id=f"break-{v}-zero-at-{root}")
+    constrained = make_spec("x^2 - 1/2*y^2", XY, constraints=(parse_polynomial("x^2 - y^2", XY),))
+    empty = make_spec("x^2 + y^2", XY, constraints=(parse_polynomial("-1 - x^2", XY),))
+    for seed in (0, 7):
+        yield pytest.param(constrained, 800, seed, id=f"constrained-{seed}")
+        yield pytest.param(empty, 100, seed, id=f"empty-{seed}")
+
+
+@pytest.mark.parametrize("spec, samples, seed", _parity_cases())
+def test_precheck_matches_the_pointwise_reference(spec, samples, seed):
+    result = positivity_precheck(spec, samples=samples, seed=seed)
+    assert (result.negative, result.zero, result.kept, result.total) == _reference_precheck(spec, samples, seed)
+
+
+@pytest.mark.parametrize("root, zero", [("3/5", True), ("7/10", False)])
+def test_zero_is_recorded_up_to_the_break_point(root, zero):
+    # guards the parity cases above against passing vacuously
+    spec = make_spec("11/20 - x", XY, g=parse_polynomial(f"(x - {root})^2", XY))
+    result = positivity_precheck(spec, samples=0)
+    point = (Fraction(3, 5), Fraction(-1))
+    assert result.negative == (point, "f", Fraction(-1, 20))
+    assert result.zero == ((point, "g") if zero else None)
+    assert (result.kept, result.total) == (16 * 21, 16 * 21 + 1)  # the origin is skipped
+    assert result.total > driver._PRECHECK_BATCH
+
+
+# -- the float sign filter ----------------------------------------------------
+
+_EXPONENTS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+_COEFFICIENTS = st.one_of(
+    st.fractions(min_value=-100, max_value=100, max_denominator=1000),
+    st.sampled_from([Fraction(1, 10**400), Fraction(-(10**400)), Fraction(1, 10**5), Fraction(10**30)]),
+)
+_COORDINATES = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**4),
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 10**200), Fraction(10**100)]),
+)
+_POLYNOMIALS = st.one_of(
+    st.dictionaries(_EXPONENTS, _COEFFICIENTS, max_size=6).map(lambda terms: Polynomial(2, terms)),
+    st.just(Polynomial.zero(2)),
+)
+_POINTS = st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=12)
+
+
+def _assert_certified_signs_are_exact(poly, points):
+    batch = [tuple(p) for p in points]
+    xf = np.array(batch, dtype=float)
+    exact = np.array([(v > 0) - (v < 0) for v in map(poly.evaluate, batch)])
+    sign_filter = driver._SignFilter(poly)
+    certified = sign_filter.signs(batch, xf, np.zeros(len(batch), dtype=bool))
+    decided = certified != 0  # the filter never certifies a zero
+    assert np.array_equal(certified[decided], exact[decided])
+    assert np.array_equal(sign_filter.signs(batch, xf, np.ones(len(batch), dtype=bool)), exact)
+    return decided
+
+
+@settings(max_examples=300, deadline=None)
+@given(_POLYNOMIALS, _POINTS)
+def test_certified_sign_is_the_exact_sign(poly, points):
+    _assert_certified_signs_are_exact(poly, points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-3 * 10**10, 3 * 10**10), min_size=1, max_size=12))
+def test_filter_leaves_near_cancellation_to_exact_arithmetic(offsets):
+    # x^2 - y^2/10^45 at x = (root + k)/10^48, about 10^-22.5, and y = 1:
+    # the exact value is at most 13 ulps (of 10^-45) from zero, the float
+    # one may be off by two more, and the bound is about 28 ulps
+    poly = Polynomial(2, {(2, 0): 1, (0, 2): Fraction(-1, 10**45)})
+    root = 31622776601683793319988935  # floor(10^-22.5 * 10^48)
+    points = [(Fraction(root + k, 10**48), Fraction(1)) for k in offsets]
+    decided = _assert_certified_signs_are_exact(poly, points)
+    assert not decided.any()
+
+
+@pytest.mark.parametrize(
+    "text, variables",
+    [("x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2", XYZ), ("(x - 1/3*y)^2", XY)],
+)
+def test_filter_leaves_exact_zeros_to_exact_arithmetic(text, variables):
+    poly = parse_polynomial(text, variables)
+    grid = list(driver._grid_points(len(variables)))
+    decided = _assert_certified_signs_are_exact(poly, grid)
+    zeros = np.array([poly.evaluate(p) == 0 for p in grid])
+    assert zeros.any() and not decided[zeros].any()
+    assert decided[~zeros].mean() > 0.99  # and the filter does decide the rest
+
+
+@pytest.mark.parametrize("x, y", [(Fraction(1, 10**200), Fraction(10**100)), (Fraction(1, 10**170), Fraction(10**50))])
+def test_underflow_is_not_certified(x, y):
+    # x^2 underflows to 0.0, so the float value is -10^-250 while the exact
+    # one is positive; only the underflow allowance keeps it uncertain
+    poly = Polynomial(2, {(2, 2): 1, (0, 0): Fraction(-1, 10**250)})
+    assert poly.evaluate((x, y)) > 0
+    decided = _assert_certified_signs_are_exact(poly, [(x, y)])
+    assert not decided.any()
+
+
+@pytest.mark.parametrize("coefficient", [Fraction(1, 10**400), Fraction(10**400)])
+def test_coefficients_outside_the_normal_floats_are_not_filtered(coefficient):
+    poly = Polynomial(2, {(2, 0): 1, (0, 2): coefficient})
+    decided = _assert_certified_signs_are_exact(poly, [(Fraction(1), Fraction(2))])
+    assert not driver._SignFilter(poly).filtered and not decided.any()
 
 
 MOTZKIN = "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"
