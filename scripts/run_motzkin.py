@@ -1,7 +1,9 @@
 """Certify the classical nonnegative-but-not-SOS ternary sextic.
 
 Expected: margin clearly negative at n = 0, an exact rational certificate at
-n = 1 (the boundary case: optimal margin is exactly zero there).
+n = 1.  n = 1 is the boundary case: the optimal margin of the full system is
+exactly zero there, and the search solves the face at the 12 grid zeros of
+the target instead, whose margin is 1/2.
 """
 
 import pathlib

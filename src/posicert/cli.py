@@ -28,7 +28,7 @@ from .driver import (
     positivity_precheck,
 )
 from .exact import format_certificate, parse_certificate, verify_certificate
-from .gram import GramSystem, build_gram_system
+from .gram import GramSystem
 from .parsing import ParseError, parse_problem
 
 EXIT_OK = 0
@@ -191,7 +191,7 @@ def _run_dump(args) -> int:
             spec = parse_problem(fh.read())
         if args.n < 0:
             raise ParseError("--n must be nonnegative")
-        system = build_gram_system(spec.f, spec.g, args.n, spec.constraints, spec.grading)
+        system, _ = driver.exponent_system(spec.f, spec.g, args.n, spec.constraints, spec.grading)
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -8,14 +8,15 @@ support obstructions skip the solve.  Numerical verdicts are reported as
 evidence only; the only claims made are exactly verified certificates and
 exact infeasibility flags.
 
-Targets whose optimal margin is zero (the target has real zeros) cannot be
-rounded from the interior: rounding succeeds only when its correction stays
-below the margin.  A borderline solve therefore tries one denominator bound,
-and then, as does a solve whose whole ladder failed, the driver restricts
-the Gram unknowns to the face cut out by the target's real zeros on the
-grid {-1, 0, 1}^n.  At such a zero z every feasible Gram matrix has
-Q_e b_e(z) = 0 (partial facial reduction), so the restriction is exact and
-loses no certificate; the reduced system is solved and rounded as before.
+A target with real zeros has optimal margin zero, and rounding from the
+interior succeeds only when its correction stays below the margin.  Before
+the one solve, the driver therefore restricts the Gram unknowns to the face
+cut out by the target's real zeros on the grid {-1, 0, 1}^n.  At such a zero
+z every feasible Gram matrix has Q_e b_e(z) = 0 (partial facial reduction),
+so the restriction is exact and loses no certificate, and a boundary target
+is solved on its face as an interior one.  An empty face keeps the full
+system.  A borderline solve tries one denominator bound, a margin-feasible
+one the whole ladder.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class SearchOptions:
 class ScanRecord:
     exponent: int  # the multiplier power n, or the odd power m
     status: str
-    t_star: Optional[float] = None
+    t_star: Optional[float] = None  # margin of the system solved: the face if the note names one
     rounding_attempts: int = 0
     note: str = ""
 
@@ -154,7 +155,7 @@ def _gram_float(system: GramSystem, solution: sdp.SdpSolution, shift: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact phase: rounding ladder, face restriction at the target's zeros
+# the system of one exponent: face restriction at the target's zeros
 # ---------------------------------------------------------------------------
 
 
@@ -193,6 +194,32 @@ def _zero_generators(system: GramSystem, constraints) -> Optional[tuple]:
     return (zeros, reduced) if reduced else None
 
 
+def exponent_system(f: Polynomial, g: Polynomial, exponent: int, constraints, grading: Grading):
+    """The system the search solves at one exponent, and a note naming its face.
+
+    Builds the coefficient-matching system; an exact parity/support
+    obstruction is returned as it is.  A system is restricted to the face at
+    the target's grid zeros (``_zero_generators``).  When that face is empty
+    or infeasible the full system is kept, noted "face restriction
+    infeasible".  Returns (system or obstruction, note).
+    """
+    system = build_gram_system(f, g, exponent, constraints, grading)
+    face = _zero_generators(system, constraints) if isinstance(system, GramSystem) else None
+    if face is None:
+        return system, ""
+    zeros, generators = face
+    reduced = build_reduced_system(system, generators)
+    if not isinstance(reduced, GramSystem):
+        return system, "face restriction infeasible"
+    sizes = ", ".join(f"{system.block_dim(b)} -> {len(gens)}" for b, gens in generators.items())
+    return reduced, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}"
+
+
+# ---------------------------------------------------------------------------
+# one exponent attempt
+# ---------------------------------------------------------------------------
+
+
 def _round_and_certify(system, q_float, bounds, meta, margin_value):
     """The rounding ladder: round, project, LDL', verify; escalate bounds."""
     attempts = 0
@@ -218,43 +245,6 @@ def _round_and_certify(system, q_float, bounds, meta, margin_value):
     return None, attempts, "not PSD at any denominator bound"
 
 
-def _exact_phase(system: GramSystem, q_float: dict, t_star: float, options: SearchOptions, meta: dict,
-                 borderline: bool = False):
-    # finer rungs cannot beat a margin in the solver's borderline band, so a
-    # borderline solve tries the first bound and goes on to the face
-    bounds = options.denominator_bounds[:1] if borderline else options.denominator_bounds
-    cert, attempts, note = _round_and_certify(system, q_float, bounds, meta, t_star)
-    if cert is not None:
-        return cert, attempts, note
-
-    face = _zero_generators(system, meta["constraints"])
-    if face is None:
-        return None, attempts, note
-    zeros, reduced_gens = face
-    reduced = build_reduced_system(system, reduced_gens)
-    if not isinstance(reduced, GramSystem):
-        return None, attempts, f"{note}; face restriction infeasible"
-    solution = sdp.solve(system_to_sdp(reduced), options.gap_tolerance)
-    if not solution.converged:  # no verdict, so t_star is no margin
-        return None, attempts, f"{note}; face-restricted solve {solution.status.replace('_', ' ')}"
-    if solution.status != sdp.MARGIN_FEASIBLE:
-        return None, attempts, f"{note}; face-restricted margin {solution.t_star:.2e}"
-    rq_float = _gram_float(reduced, solution, solution.t_star)
-    cert, more, note2 = _round_and_certify(
-        reduced, rq_float, options.denominator_bounds, meta, solution.t_star
-    )
-    attempts += more
-    if cert is not None:
-        sizes = ", ".join(f"{system.block_dim(b)} -> {len(g)}" for b, g in reduced_gens.items())
-        return cert, attempts, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}"
-    return None, attempts, f"{note}; face-restricted rounding failed: {note2}"
-
-
-# ---------------------------------------------------------------------------
-# one exponent attempt
-# ---------------------------------------------------------------------------
-
-
 _OBSTRUCTION_STATUS = {ParityInfeasible: PARITY_INFEASIBLE, SupportInfeasible: SUPPORT_INFEASIBLE}
 _UNDECIDED = (BORDERLINE, ROUNDING_FAILED, MAX_ITERATIONS)
 
@@ -277,7 +267,7 @@ def _attempt(
 ):
     """Build, solve, and (when numerically feasible) exactly certify one n."""
     meta = dict(variables=variables, f=f, g=g, constraints=constraints, n=exponent)
-    system = build_gram_system(f, g, exponent, constraints, grading)
+    system, note = exponent_system(f, g, exponent, constraints, grading)
     obstruction = _obstruction(system, exponent)
     if obstruction is not None:
         return obstruction, None
@@ -286,16 +276,17 @@ def _attempt(
     if solution.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"SDP solver failed at exponent {exponent}")
     if solution.status in (MARGIN_NEGATIVE, MAX_ITERATIONS):
-        return ScanRecord(exponent, solution.status, t_star=solution.t_star), None
+        return ScanRecord(exponent, solution.status, t_star=solution.t_star, note=note), None
 
-    # margin_feasible or borderline: round.
+    # margin_feasible or borderline: round.  Finer rungs cannot beat a
+    # margin in the solver's borderline band, so a borderline solve tries
+    # the first bound only.
     borderline = solution.status == sdp.BORDERLINE
+    bounds = options.denominator_bounds[:1] if borderline else options.denominator_bounds
     q_float = _gram_float(system, solution, max(solution.t_star, 0.0))
-    cert, attempts, note = _exact_phase(system, q_float, solution.t_star, options, meta, borderline)
-    if cert is not None:
-        status = CERTIFIED
-    else:
-        status = BORDERLINE if borderline else ROUNDING_FAILED
+    cert, attempts, failure = _round_and_certify(system, q_float, bounds, meta, solution.t_star)
+    status = CERTIFIED if cert is not None else BORDERLINE if borderline else ROUNDING_FAILED
+    note = "; ".join(part for part in (note, failure) if part)
     return ScanRecord(exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note), cert
 
 

@@ -100,6 +100,13 @@ def test_dump_sdp(tmp_path, capsys):
     assert text.count("constraint ") == 3
 
 
+def test_dump_sdp_is_the_face_the_search_solves(capsys):
+    # Motzkin times g vanishes at 12 grid points: the search solves the face
+    # they cut out, 5 generators, not the full basis of 9
+    assert cli.main(["dump-sdp", str(PROBLEMS / "motzkin.txt"), "--n", "1"]) == 0
+    assert "\nblocks 5\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

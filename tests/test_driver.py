@@ -489,6 +489,20 @@ class TestKernelRestriction:
         assert report.records[0].note == "face-restricted at 20 zeros, block sizes 21 -> 11"
         assert verify_certificate(report.certificate).valid
 
+    def test_empty_face_keeps_the_full_system(self):
+        # pure Motzkin at n = 0: its 12 grid zeros remove every generator, so
+        # the full system is solved and its margin is clearly negative; at
+        # n = 1 the face is solved and certifies
+        spec = parse_problem((PROBLEMS / "motzkin.txt").read_text())
+        report = certify(dataclasses.replace(spec, n_max=1))
+        first, second = report.records
+        assert first.status == driver.MARGIN_NEGATIVE
+        assert first.t_star <= -1
+        assert first.note == "face restriction infeasible"
+        assert second.status == driver.CERTIFIED
+        assert second.note == "face-restricted at 12 zeros, block sizes 9 -> 5"
+        assert report.certificate.n == 1
+
     def test_no_grid_zero_means_no_restriction(self, monkeypatch):
         perturbed = parse_problem((PROBLEMS / "perturbed_motzkin.txt").read_text())
         system = build_gram_system(perturbed.f, perturbed.g, 1, (), Grading.single(3))
@@ -526,30 +540,38 @@ class TestKernelRestriction:
         assert system.blocks[restricted].multiplier == one
 
 
-@pytest.mark.parametrize(
-    "status, t_star, ending",
-    [
-        (sdp.NUMERICAL_FAILURE, -293.0, "face-restricted solve numerical failure"),
-        (sdp.MAX_ITERATIONS, -293.0, "face-restricted solve max iterations"),
-        (sdp.MARGIN_NEGATIVE, -1e-3, "face-restricted margin -1.00e-03"),
-    ],
-)
-def test_kernel_restricted_note_reports_margin_only_on_convergence(monkeypatch, status, t_star, ending):
-    # Motzkin at n = 1 lies on the boundary: with integer rounding the plain
-    # ladder fails and the kernel-restricted re-solve runs, stubbed to end
-    # with `status`
-    f = parse_polynomial("x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2", XYZ)
-    g = parse_polynomial("x^2 + y^2 + z^2", XYZ)
-    system = build_gram_system(f, g, 1, (), Grading.single(3))
-    solution = sdp.solve(system_to_sdp(system))
-    q_float = driver._gram_float(system, solution, max(solution.t_star, 0.0))
-    meta = dict(variables=tuple(XYZ), f=f, g=g, constraints=(), n=1)
-    stub = dataclasses.replace(solution, status=status, t_star=t_star)
-    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: stub)
-    options = driver.SearchOptions(denominator_bounds=(1,))
-    cert, _, note = driver._exact_phase(system, q_float, solution.t_star, options, meta)
+def _stub_solution(status, t_star):
+    return sdp.SdpSolution(
+        status=status,
+        t_star=t_star,
+        x_blocks=[],
+        y=np.zeros(0),
+        s_blocks=[],
+        gap=float("inf"),
+        iterations=0,
+    )
+
+
+@pytest.mark.parametrize("status, t_star", [(sdp.MAX_ITERATIONS, -293.0), (sdp.MARGIN_NEGATIVE, -1e-3)])
+def test_face_solve_without_a_margin_is_recorded_as_it_ends(monkeypatch, status, t_star):
+    # Motzkin at n = 1 is solved on its face; the one solve, stubbed to end
+    # with `status`, leaves nothing to round
+    f = parse_polynomial(MOTZKIN, XYZ)
+    g = parse_polynomial(G_XYZ, XYZ)
+    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(status, t_star))
+    record, cert = driver._attempt(f, g, (), Grading.single(3), tuple(XYZ), 1, driver.SearchOptions())
     assert cert is None
-    assert note.endswith("; " + ending)
+    assert (record.status, record.t_star) == (status, t_star)
+    assert record.note == "face-restricted at 12 zeros, block sizes 9 -> 5"
+    assert record.rounding_attempts == 0
+
+
+def test_face_solve_numerical_failure_propagates(monkeypatch):
+    f = parse_polynomial(MOTZKIN, XYZ)
+    g = parse_polynomial(G_XYZ, XYZ)
+    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(sdp.NUMERICAL_FAILURE, float("nan")))
+    with pytest.raises(driver.NumericalFailureError):
+        driver._attempt(f, g, (), Grading.single(3), tuple(XYZ), 1, driver.SearchOptions())
 
 
 def test_monotonicity_lift_through_driver():
@@ -579,18 +601,21 @@ def test_slowly_converging_sum_of_squares_certifies():
     assert verify_certificate(report.certificate).valid
 
 
-def test_one_solve_per_exponent(monkeypatch):
-    # Motzkin times g has margin zero: its one solve ends borderline and the
-    # first rung of the ladder certifies from it
+@pytest.mark.parametrize("k", [1, 2])
+def test_one_solve_per_exponent(monkeypatch, k):
+    # Motzkin times g^k has margin zero; its 12 grid zeros cut out a face
+    # with a positive margin, which is solved once and certifies on the
+    # first rung
     calls = []
     solve = sdp.solve
-    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    spec = make_spec(
-        "(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2)*(x^2 + y^2 + z^2)", XYZ, mode="check-sos"
-    )
+    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    spec = make_spec(f"({MOTZKIN})*({G_XYZ})^{k}", XYZ, mode="check-sos")
     report = certify(spec)
     assert report.outcome == driver.OUTCOME_CERTIFICATE
-    assert [rec.status for rec in report.records] == [driver.CERTIFIED]
+    (record,) = report.records
+    assert record.status == driver.CERTIFIED
+    assert record.rounding_attempts == 1
+    assert record.note.startswith("face-restricted at 12 zeros")
     assert len(calls) == 1
 
 
@@ -620,15 +645,6 @@ def test_solver_does_not_claim_inconsistent_systems():
 
 def test_numerical_failure_propagates(monkeypatch):
     spec = make_spec("x^2 + y^2", XY)
-    broken = sdp.SdpSolution(
-        status=sdp.NUMERICAL_FAILURE,
-        t_star=float("nan"),
-        x_blocks=[],
-        y=np.zeros(0),
-        s_blocks=[],
-        gap=float("inf"),
-        iterations=0,
-    )
-    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: broken)
+    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(sdp.NUMERICAL_FAILURE, float("nan")))
     with pytest.raises(driver.NumericalFailureError):
         certify(spec)
