@@ -23,8 +23,11 @@ from .parsing import (
     parse_monomial_sum,
     parse_polynomial,
     parse_polynomial_list,
+    parse_variables,
     read_key_values,
     split_top_level,
+    _parse_blocks,
+    _parse_int,
     _unquote,
 )
 from .poly import Grading, Polynomial, grlex_key
@@ -323,7 +326,7 @@ def certificate_from_gram(
         if factored is None:
             return None
         lower, diag = factored
-        squares = combine_squares(lower, diag, system.generators[b_idx])
+        squares = combine_squares(lower, diag, system.blocks[b_idx].generators)
         support = sorted({ev for sq in squares for ev in sq.poly.terms}, key=grlex_key)
         cert_blocks.append(
             CertificateBlock(
@@ -432,8 +435,6 @@ def _parse_float(text: str, key: str) -> float:
 
 def parse_certificate(document: str) -> Certificate:
     """Parse the output of format_certificate."""
-    from .parsing import _parse_blocks, _parse_int
-
     header = {}
     raw_blocks = []  # list of dicts with e/basis/squares
     for key, value, line_no in read_key_values(document):
@@ -455,9 +456,7 @@ def parse_certificate(document: str) -> Certificate:
     for required in ("vars", "f", "g", "N"):
         if required not in header:
             raise ParseError(f"missing {required}")
-    names = [n.strip() for n in header["vars"].split(",") if n.strip()]
-    if not names:
-        raise ParseError("vars: empty variable list")
+    names = parse_variables(header["vars"])
     grading = (
         _parse_blocks(header["blocks"], names) if "blocks" in header else Grading.single(len(names))
     )

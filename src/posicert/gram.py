@@ -1,23 +1,27 @@
-"""Monomial bases and coefficient-matching systems.
+"""Gram blocks and coefficient-matching systems.
 
 A target polynomial t and the constraint products m_e = h_1^{e_1}...h_r^{e_r}
 (e ranging over {0,1}^r) define one symmetric unknown Q^(e) per product via
 
     t  =  sum_e  (b_e' Q^(e) b_e) * m_e,
 
-where b_e is a column of basis monomials.  Matching the coefficient of every
-achievable monomial gives an exact linear system; the numeric layer solves it
-under a PSD constraint and the exact layer re-solves it over the rationals.
+where b_e is the column of the block's generators.  A block is its
+generators: the basis monomials of the required degree, pruned by diagonal
+consistency, or on the face at the target's real zeros their rational
+combinations.  Matching the coefficient of every achievable monomial gives
+an exact linear system; the numeric layer solves it under a PSD constraint
+and the exact layer re-solves it over the rationals.
 
 Blocks whose required basis degree is odd or negative in some grading block
-are inactive.  All blocks inactive is a parity obstruction; a target monomial
-no product can reach is a support obstruction.  Both are exact infeasibility
-certificates and are flagged before any numeric work.
+have no generators and are inactive.  All blocks inactive is a parity
+obstruction; a target monomial no product can reach is a support
+obstruction.  Both are exact infeasibility certificates and are flagged
+before any numeric work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Optional, Sequence
@@ -46,10 +50,18 @@ class SupportInfeasible:
 
 @dataclass(frozen=True)
 class GramBlock:
+    """One product block, which is its generators: the polynomials whose
+    Gram matrix Q^(e) the block carries.  They are monomials, grlex sorted,
+    or on a face rational combinations of them.  A block without
+    generators is inactive."""
+
     product_index: tuple  # e in {0,1}^r
     multiplier: Polynomial  # h_1^{e_1} ... h_r^{e_r}
-    basis: tuple  # exponent vectors, grlex sorted
-    active: bool
+    generators: tuple  # Polynomial per Gram row
+
+    @property
+    def active(self) -> bool:
+        return bool(self.generators)
 
 
 @dataclass(frozen=True)
@@ -67,11 +79,10 @@ class GramSystem:
     and the exact projection.
     """
 
-    def __init__(self, target, grading, blocks, generators, constraints, independent):
+    def __init__(self, target, grading, blocks, constraints, independent):
         self.target: Polynomial = target
         self.grading: Grading = grading
         self.blocks: tuple = blocks  # GramBlock per product index
-        self.generators: tuple = generators  # per block: tuple of Polynomial
         self.constraints: tuple = constraints  # LinearConstraint, grlex-descending
         self.independent: tuple = independent  # indices of an independent consistent subset
         self._layout = None
@@ -85,8 +96,14 @@ class GramSystem:
     def active_indices(self) -> list:
         return [i for i, b in enumerate(self.blocks) if b.active]
 
+    @property
+    def generators(self) -> tuple:
+        """Per block, its generators; a new tuple over all 2^r blocks on
+        each read, so loops read ``blocks[b].generators`` instead."""
+        return tuple(block.generators for block in self.blocks)
+
     def block_dim(self, block_index: int) -> int:
-        return len(self.generators[block_index])
+        return len(self.blocks[block_index].generators)
 
     @property
     def unknown_layout(self) -> list:
@@ -223,13 +240,11 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _assemble(target: Polynomial, grading: Grading, blocks, generators):
+def _assemble(target: Polynomial, grading: Grading, blocks):
     """Shared core: accumulate achievable monomials, check support, reduce."""
     rows = {}
     for b_idx, block in enumerate(blocks):
-        if not block.active:
-            continue
-        gens = generators[b_idx]
+        gens = block.generators
         for i in range(len(gens)):
             for j in range(i, len(gens)):
                 prod = gens[i] * gens[j] * block.multiplier
@@ -253,7 +268,7 @@ def _assemble(target: Polynomial, grading: Grading, blocks, generators):
         LinearConstraint(monomial=ev, coefficients=dict(rows[ev]), rhs=target.coefficient(ev))
         for ev in order
     )
-    system = GramSystem(target, grading, tuple(blocks), tuple(generators), constraints, ())
+    system = GramSystem(target, grading, tuple(blocks), constraints, ())
 
     independent, inconsistent = ratlin.row_reduce(system.rows, [c.rhs for c in constraints])
     if inconsistent is not None:
@@ -290,7 +305,7 @@ def build_gram_system(
         not h.is_zero() and h.multidegree(grading) is not None for h in constraints
     )
 
-    blocks = []
+    multipliers, candidates = [], []  # per product index; candidates are exponent tuples
     for e in iter_product((0, 1), repeat=r):
         multiplier = Polynomial.one(n_vars)
         for h, e_i in zip(constraints, e):
@@ -301,19 +316,15 @@ def build_gram_system(
                 dt - dm
                 for dt, dm in zip(target.multidegree(grading), multiplier.multidegree(grading))
             )
-            active = all(d >= 0 and d % 2 == 0 for d in need)
-            candidates = (
-                exact_degree_monomials(grading, [d // 2 for d in need]) if active else []
-            )
+            even = all(d >= 0 and d % 2 == 0 for d in need)
+            basis = exact_degree_monomials(grading, [d // 2 for d in need]) if even else []
         else:
             slack = target.total_degree() - multiplier.total_degree()
-            active = slack >= 0
-            candidates = monomials_up_to(n_vars, (slack + 1) // 2) if active else []
-        blocks.append(
-            GramBlock(product_index=e, multiplier=multiplier, basis=tuple(candidates), active=active)
-        )
+            basis = monomials_up_to(n_vars, (slack + 1) // 2) if slack >= 0 else []
+        multipliers.append(multiplier)
+        candidates.append(basis)
 
-    active_idx = [i for i, b in enumerate(blocks) if b.active]
+    active_idx = [i for i, basis in enumerate(candidates) if basis]
     if not active_idx:
         kind = "per-block degrees" if graded else "total degrees"
         return ParityInfeasible(
@@ -323,65 +334,36 @@ def build_gram_system(
     # Diagonal pruning is sound only when a single multiplier-one block
     # contributes, so each diagonal entry owns its squared monomial's row.
     only = active_idx[0]
-    if (
-        prune
-        and len(active_idx) == 1
-        and blocks[only].multiplier == Polynomial.one(n_vars)
-    ):
-        pruned = prune_basis(blocks[only].basis, target.support())
-        blocks[only] = GramBlock(
-            product_index=blocks[only].product_index,
-            multiplier=blocks[only].multiplier,
-            basis=pruned,
-            active=True,
-        )
+    if prune and len(active_idx) == 1 and multipliers[only] == Polynomial.one(n_vars):
+        candidates[only] = prune_basis(candidates[only], target.support())
 
-    generators = tuple(
-        tuple(Polynomial.monomial(n_vars, ev) for ev in b.basis) for b in blocks
+    blocks = tuple(
+        GramBlock(e, multiplier, tuple(Polynomial.monomial(n_vars, ev) for ev in basis))
+        for e, multiplier, basis in zip(iter_product((0, 1), repeat=r), multipliers, candidates)
     )
-    return _assemble(target, grading, blocks, generators)
+    return _assemble(target, grading, blocks)
 
 
 def build_reduced_system(system: GramSystem, block_generators: Mapping):
-    """Re-pose a system over new per-block generator polynomials.
+    """Re-pose a system with the mapped blocks' generators replaced.
 
-    Used after the face restriction at the target's real zeros: the
-    generators are rational combinations of the original basis monomials.
-    Blocks absent from the mapping keep their monomial generators.
+    Used after the face restriction at the target's real zeros: each mapped
+    block's new generators are rational combinations of its monomials, and
+    a zero one is dropped.  Blocks absent from the mapping are kept.
     """
-    target = system.target
-    n_vars = target.n_vars
-    blocks = []
-    generators = []
-    for b_idx, block in enumerate(system.blocks):
-        if not block.active:
-            blocks.append(block)
-            generators.append(())
-            continue
-        gens = block_generators.get(b_idx)
-        if gens is None:
-            gens = system.generators[b_idx]
-        gens = tuple(g for g in gens if not g.is_zero())
-        support = sorted({ev for g in gens for ev in g.terms}, key=grlex_key)
-        blocks.append(
-            GramBlock(
-                product_index=block.product_index,
-                multiplier=block.multiplier,
-                basis=tuple(support),
-                active=bool(gens),
-            )
-        )
-        generators.append(gens)
-    if not any(b.active for b in blocks):
+    blocks = list(system.blocks)
+    for b_idx, gens in block_generators.items():
+        blocks[b_idx] = replace(blocks[b_idx], generators=tuple(g for g in gens if not g.is_zero()))
+    if not any(block.active for block in blocks):
         return ParityInfeasible(reason="face restriction removed every generator")
-    return _assemble(target, system.grading, blocks, generators)
+    return _assemble(system.target, system.grading, blocks)
 
 
 def reconstruct(system: GramSystem, matrices: Mapping) -> Polynomial:
     """Expand sum_e (b_e' Q^(e) b_e) * m_e exactly for the given matrices."""
     total = Polynomial.zero(system.n_vars)
     for b_idx in system.active_indices:
-        gens = system.generators[b_idx]
+        gens = system.blocks[b_idx].generators
         d = len(gens)
         q = matrices[b_idx]
         if len(q) != d or any(len(row) != d for row in q):

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .gram import MAX_CONSTRAINTS
 from .poly import Grading, Polynomial, grlex_key, sum_of_squared_variables
 
 NAME_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
@@ -375,6 +376,19 @@ def read_key_values(document: str) -> list:
 _PROBLEM_KEYS = {"vars", "blocks", "f", "g", "h", "mode", "n_max", "m_max", "h_margin", "homogeneous"}
 
 
+def parse_variables(value: str) -> list:
+    """A ``vars`` list: comma separated, nonempty, valid and distinct names."""
+    variables = [n.strip() for n in value.split(",") if n.strip()]
+    if not variables:
+        raise ParseError("vars: empty variable list")
+    for name in variables:
+        if not NAME_RE.fullmatch(name):
+            raise ParseError(f"vars: invalid variable name {name!r}")
+    if len(set(variables)) != len(variables):
+        raise ParseError("vars: duplicate variable name")
+    return variables
+
+
 def _infer_variables(texts: list) -> list:
     seen = []
     for text in texts:
@@ -420,19 +434,12 @@ def parse_problem(document: str) -> ProblemSpec:
         raise ParseError("missing f")
 
     if "vars" in values:
-        variables = [n.strip() for n in values["vars"].split(",") if n.strip()]
-        if not variables:
-            raise ParseError("vars: empty variable list")
+        variables = parse_variables(values["vars"])
     else:
         # names in order of first appearance; quotes and brackets hold none
         variables = _infer_variables([values.get(key, "") for key in ("f", "g", "h", "h_margin")])
         if not variables:
             raise ParseError("vars: no variables declared or inferable")
-    for name in variables:
-        if not NAME_RE.fullmatch(name):
-            raise ParseError(f"vars: invalid variable name {name!r}")
-    if len(set(variables)) != len(variables):
-        raise ParseError("vars: duplicate variable name")
     n = len(variables)
 
     grading = _parse_blocks(values["blocks"], variables) if "blocks" in values else Grading.single(n)
@@ -446,8 +453,8 @@ def parse_problem(document: str) -> ProblemSpec:
     constraints = tuple(
         parse_polynomial_list(values.get("h", "[]"), variables, "h: expected a bracketed list of polynomial strings")
     )
-    if len(constraints) > 16:
-        raise ParseError(f"h: at most 16 constraints supported, found {len(constraints)}")
+    if len(constraints) > MAX_CONSTRAINTS:
+        raise ParseError(f"h: at most {MAX_CONSTRAINTS} constraints supported, found {len(constraints)}")
     if any(h.is_zero() for h in constraints):
         raise ParseError("h: constraint polynomials must be nonzero")
 

@@ -173,6 +173,7 @@ def test_verify_negative_exponent_is_input_error(tmp_path, capsys):
         ("e = ()", "e = (a)", "e:"),
         ("h = []", "h = []\nmargin = abc", "margin:"),
         ("vars = x, y", "vars = ", "vars:"),
+        ("vars = x, y", "vars = x, y, y", "vars: duplicate variable name"),
         ("h = []", "h = []\nmargin = nan", "margin:"),
         ("h = []", "h = []\nmargin = inf", "margin:"),
         ("h = []", "h = []\nmargin = -inf", "margin:"),

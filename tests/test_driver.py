@@ -126,6 +126,21 @@ class TestOddPower:
         assert report.records[-1].exponent == 1
         assert verify_certificate(report.certificate).valid
 
+    def test_certificate_is_verified_once(self, monkeypatch):
+        # the identity proved is the one reported, f * f^(m-1) = f^m
+        calls = []
+
+        def counting(cert):
+            calls.append(cert)
+            return verify_certificate(cert)
+
+        monkeypatch.setattr(driver, "verify_certificate", counting)
+        spec = make_spec("x^2 + y^2", XY, mode="odd-power", m_max=5)
+        report = odd_power(spec)
+        assert report.outcome == "certificate"
+        assert calls == [report.certificate]
+        assert (report.certificate.f, report.certificate.g, report.certificate.n) == (spec.f, spec.f, 0)
+
     def test_positive_definite_perturbation_finds_odd_power(self):
         spec = make_spec(
             "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2 + 1/8*(x^2 + y^2 + z^2)^3",
@@ -460,6 +475,8 @@ class TestKernelRestriction:
         assert generators is not None
         reduced = build_reduced_system(system, generators)
         assert isinstance(reduced, GramSystem)
+        assert reduced.blocks[0].generators == generators[0]
+        assert reduced.block_dim(0) == len(reduced.blocks[0].generators)
         assert reduced.block_dim(0) < system.block_dim(0)
         reduced_solution = sdp.solve(system_to_sdp(reduced), 1e-8, 100)
         assert reduced_solution.status == sdp.MARGIN_FEASIBLE

@@ -92,8 +92,9 @@ class TestProjection:
             1: round_to_rational([[0.7500002]], 10**6),
         }
         out = project_to_constraints(noisy, system)
-        x_idx = system.blocks[0].basis.index((1, 0))
-        y_idx = system.blocks[0].basis.index((0, 1))
+        basis = [next(iter(gen.terms)) for gen in system.blocks[0].generators]
+        x_idx = basis.index((1, 0))
+        y_idx = basis.index((0, 1))
         # the coupled constraints hold exactly after projection
         assert out[0][x_idx][x_idx] + out[1][0][0] == 1
         assert out[0][y_idx][y_idx] - out[1][0][0] == F(-1, 2)
@@ -109,7 +110,6 @@ class TestProjection:
             system.target,
             system.grading,
             system.blocks,
-            system.generators,
             system.constraints
             + (LinearConstraint(first.monomial, dict(first.coefficients), first.rhs + 1),),
             system.independent,

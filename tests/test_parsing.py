@@ -146,7 +146,7 @@ def test_round_trip_thousand_random():
 
 
 @given(st.text(max_size=40))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_parser_total_on_arbitrary_text(text):
     try:
         parse_polynomial(text, XY)
@@ -155,7 +155,7 @@ def test_parser_total_on_arbitrary_text(text):
 
 
 @given(st.text(alphabet="xy0123456789+-*/^() ", max_size=30))
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 def test_parser_total_on_grammar_alphabet(text):
     try:
         parse_polynomial(text, XY)
