@@ -10,8 +10,9 @@
 
 Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
 invalid), 2 counterexample found, 3 input error (including a polynomial text
-above the parser's degree cap, dump-sdp on f = 0, and an --out file that
-cannot be written), 4 numerical failure.
+above the parser's degree cap, dump-sdp on f = 0, an --out file that cannot
+be written, and a system whose dense SDP tensor exceeds
+driver.SDP_TENSOR_BYTES), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -192,13 +193,14 @@ def _run_dump(args) -> int:
         if args.n < 0:
             raise ParseError("--n must be nonnegative")
         system, _ = driver.exponent_system(spec.f, spec.g, args.n, spec.constraints, spec.grading)
+        problem = driver.system_to_sdp(system) if isinstance(system, GramSystem) else None
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if not isinstance(system, GramSystem):
+    if problem is None:
         print(f"no system at n = {args.n}: {system.reason}")
         return EXIT_NOT_FOUND
-    dump = sdp.format_debug_dump(driver.system_to_sdp(system))
+    dump = sdp.format_debug_dump(problem)
     if args.out:
         if not _write_out(args.out, dump):
             return EXIT_INPUT_ERROR

@@ -65,6 +65,8 @@ OUTCOME_NOT_FOUND = "not_found"
 OUTCOME_UNKNOWN = "unknown"
 OUTCOME_REJECTED = "rejected"
 
+SDP_TENSOR_BYTES = 2**30  # budget of the dense (m, d, d) constraint tensors, in float64 bytes
+
 
 class NumericalFailureError(RuntimeError):
     """The SDP solver broke down; the scan cannot honestly continue."""
@@ -108,24 +110,27 @@ def system_to_sdp(system: GramSystem, column: Optional[dict] = None) -> sdp.SdpP
 
     The scalar's coefficient in constraint k is column[k] (absent keys are
     zero).  The default column is the margin's: <A_k, I> summed over the
-    blocks, i.e. Q = X + t*I with t maximized.
+    blocks, i.e. Q = X + t*I with t maximized.  A system whose dense
+    constraint tensor would take more than SDP_TENSOR_BYTES is refused with
+    a ValueError before anything is allocated.
     """
     active = system.active_indices
     dims = tuple(system.block_dim(b) for b in active)
     position = {b: i for i, b in enumerate(active)}
     rows = system.independent
     m = len(rows)
+    if 8 * m * sum(d * d for d in dims) > SDP_TENSOR_BYTES:
+        sizes = f"m = {m} rows, block sizes {list(dims)}"
+        raise ValueError(f"system too large for the dense SDP: {sizes}, over {SDP_TENSOR_BYTES} bytes")
     a_blocks = [np.zeros((m, d, d)) for d in dims]
     b_vec = np.zeros(m)
     c_vec = np.zeros(m)
     for k, row_idx in enumerate(rows):
-        con = system.constraints[row_idx]
-        b_vec[k] = float(con.rhs)
-        for (b, i, j), c in con.coefficients.items():
-            tensor = a_blocks[position[b]]
-            tensor[k, i, j] += float(c)
-            if i != j:
-                tensor[k, j, i] += float(c)
+        b_vec[k] = float(system.rhs[row_idx])
+        for col, v in system.rows[row_idx].items():
+            b, i, j = system.unknown_layout[col]
+            value = float(v) if i == j else float(v) / 2  # rows hold 2c off the diagonal; halving is exact
+            a_blocks[position[b]][k, i, j] = a_blocks[position[b]][k, j, i] = value
         if column is None:
             c_vec[k] = sum(float(np.trace(t[k])) for t in a_blocks)
         else:
@@ -347,7 +352,7 @@ def certify(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Searc
     if spec.mode == "check-sos":
         constraints, ns, mode = (), [0], "check-sos"
     else:
-        constraints, ns, mode = spec.constraints, list(range(spec.n_max + 1)), "certify"
+        constraints, ns, mode = spec.constraints, range(spec.n_max + 1), "certify"
     if spec.f.is_zero():
         empty = Certificate(
             variables=spec.variables,
@@ -419,14 +424,9 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
         if obstruction is not None:
             return obstruction, None, None
         eps_poly = spec.g**n * h_sq
-        achievable = {c.monomial for c in system.constraints}
-        if not set(eps_poly.terms) <= achievable:
+        if not set(eps_poly.terms) <= set(system.monomials):
             return no_certificate(SUPPORT_INFEASIBLE, note="h^2 support not reachable at this degree")
-        column = {
-            k: eps_poly.coefficient(con.monomial)
-            for k, con in enumerate(system.constraints)
-            if eps_poly.coefficient(con.monomial)
-        }
+        column = {k: c for k, ev in enumerate(system.monomials) if (c := eps_poly.coefficient(ev))}
         # no unknown of this monomial system is in two rows, so every row is
         # independent, with or without the column, and all of them are posed
         solution = sdp.solve(system_to_sdp(system, column), options.gap_tolerance)

@@ -85,7 +85,7 @@ def project_to_constraints(q_matrices: Mapping, system: GramSystem):
             for b in members:
                 gram[a][b] += va * rows[b][col]
     residual = [
-        system.constraints[k].rhs - sum(v * q[col] for col, v in row.items())
+        system.rhs[k] - sum(v * q[col] for col, v in row.items())
         for k, row in zip(system.independent, rows)
     ]
     try:
@@ -97,11 +97,9 @@ def project_to_constraints(q_matrices: Mapping, system: GramSystem):
             for col, v in row.items():
                 q[col] += v * l / weights[col]
 
-    for constraint, row in zip(system.constraints, system.rows):
-        if sum(v * q[col] for col, v in row.items()) != constraint.rhs:
-            raise InconsistentSystemError(
-                f"constraint at monomial {constraint.monomial} cannot be satisfied"
-            )
+    for ev, row, rhs in zip(system.monomials, system.rows, system.rhs):
+        if sum(v * q[col] for col, v in row.items()) != rhs:
+            raise InconsistentSystemError(f"constraint at monomial {ev} cannot be satisfied")
     return system.unflatten(q)
 
 

@@ -10,7 +10,10 @@ generators: the basis monomials of the required degree, pruned by diagonal
 consistency, or on the face at the target's real zeros their rational
 combinations.  Matching the coefficient of every achievable monomial gives
 an exact linear system; the numeric layer solves it under a PSD constraint
-and the exact layer re-solves it over the rationals.
+and the exact layer re-solves it over the rationals.  The system is an
+immutable value with one row format: sparse rows over the flattened Gram
+unknowns, off-diagonal coefficients doubled, which the row reduction, the
+SDP assembly and the exact projection all read.
 
 Blocks whose required basis degree is odd or negative in some grading block
 have no generators and are inactive.  All blocks inactive is a parity
@@ -64,29 +67,26 @@ class GramBlock:
         return bool(self.generators)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    monomial: tuple
-    coefficients: Mapping  # (block_index, i, j) with i <= j -> Fraction
-    rhs: Fraction
-
-
+@dataclass(frozen=True, eq=False)
 class GramSystem:
-    """Assembled coefficient-matching system for one target.
+    """Assembled coefficient-matching system for one target, built once.
 
-    The constraints are also read as sparse rows over the unknown layout
-    (`rows`), built once on first use and shared by the row reduction here
-    and the exact projection.
+    The unknowns are the upper triangles of the active blocks' Gram
+    matrices, flattened as `unknown_layout`.  Row k matches the coefficient
+    of `monomials[k]`: a sparse dict over layout positions with
+    off-diagonal coefficients doubled, so it reads
+    sum_i c_ii q_ii + 2 sum_{i<j} c_ij q_ij = rhs[k].  This is the one row
+    format; the rows are shared, so no caller may mutate one.
     """
 
-    def __init__(self, target, grading, blocks, constraints, independent):
-        self.target: Polynomial = target
-        self.grading: Grading = grading
-        self.blocks: tuple = blocks  # GramBlock per product index
-        self.constraints: tuple = constraints  # LinearConstraint, grlex-descending
-        self.independent: tuple = independent  # indices of an independent consistent subset
-        self._layout = None
-        self._rows = None
+    target: Polynomial
+    grading: Grading
+    blocks: tuple  # GramBlock per product index
+    unknown_layout: tuple  # (block_index, i, j) with i <= j
+    monomials: tuple  # the matched monomial of each row, grlex-descending
+    rows: tuple  # dict: layout position -> coefficient
+    rhs: tuple  # the target's coefficient of each row's monomial
+    independent: tuple  # indices of an independent consistent subset of rows
 
     @property
     def n_vars(self) -> int:
@@ -96,47 +96,12 @@ class GramSystem:
     def active_indices(self) -> list:
         return [i for i, b in enumerate(self.blocks) if b.active]
 
-    @property
-    def generators(self) -> tuple:
-        """Per block, its generators; a new tuple over all 2^r blocks on
-        each read, so loops read ``blocks[b].generators`` instead."""
-        return tuple(block.generators for block in self.blocks)
-
     def block_dim(self, block_index: int) -> int:
         return len(self.blocks[block_index].generators)
-
-    @property
-    def unknown_layout(self) -> list:
-        """Flattened symmetric unknowns: (block_index, i, j) with i <= j."""
-        if self._layout is None:
-            layout = []
-            for b in self.active_indices:
-                d = self.block_dim(b)
-                for i in range(d):
-                    for j in range(i, d):
-                        layout.append((b, i, j))
-            self._layout = layout
-        return self._layout
 
     def frobenius_weights(self) -> list:
         """Weight of each unknown in the Frobenius norm (off-diagonal twice)."""
         return [Fraction(1) if i == j else Fraction(2) for (_, i, j) in self.unknown_layout]
-
-    @property
-    def rows(self) -> tuple:
-        """The constraints as sparse rows over the unknown layout, built once.
-
-        Off-diagonal coefficients are doubled: row k encodes
-        sum_i c_ii q_ii + 2 sum_{i<j} c_ij q_ij = rhs_k.  The rows are
-        shared, so no caller may mutate one.
-        """
-        if self._rows is None:
-            index = {key: k for k, key in enumerate(self.unknown_layout)}
-            self._rows = tuple(
-                {index[(b, i, j)]: c if i == j else 2 * c for (b, i, j), c in con.coefficients.items()}
-                for con in self.constraints
-            )
-        return self._rows
 
     def flatten(self, matrices: Mapping) -> list:
         """Upper triangles of per-active-block matrices as one vector."""
@@ -241,44 +206,37 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
 
 
 def _assemble(target: Polynomial, grading: Grading, blocks):
-    """Shared core: accumulate achievable monomials, check support, reduce."""
-    rows = {}
-    for b_idx, block in enumerate(blocks):
-        gens = block.generators
-        for i in range(len(gens)):
-            for j in range(i, len(gens)):
-                prod = gens[i] * gens[j] * block.multiplier
-                for ev, c in prod.terms.items():
-                    bucket = rows.setdefault(ev, {})
-                    s = bucket.get((b_idx, i, j), Fraction(0)) + c
-                    if s:
-                        bucket[(b_idx, i, j)] = s
-                    elif (b_idx, i, j) in bucket:
-                        del bucket[(b_idx, i, j)]
+    """Shared core: match every achievable monomial, check support, reduce.
+
+    Each unknown's product writes its coefficients straight into the rows of
+    the monomials it reaches, doubled off the diagonal.
+    """
+    dims = [len(block.generators) for block in blocks]
+    layout = tuple((b, i, j) for b, d in enumerate(dims) for i in range(d) for j in range(i, d))
+    by_monomial = {}
+    for k, (b, i, j) in enumerate(layout):
+        gens = blocks[b].generators
+        for ev, c in (gens[i] * gens[j] * blocks[b].multiplier).terms.items():
+            by_monomial.setdefault(ev, {})[k] = c if i == j else 2 * c
 
     for ev in target.terms:
-        if ev not in rows or not rows[ev]:
+        if ev not in by_monomial:
             return SupportInfeasible(
                 reason=f"target monomial with exponents {ev} is not achievable by any basis product",
                 monomial=ev,
             )
 
-    order = sorted((ev for ev, bucket in rows.items() if bucket), key=grlex_key, reverse=True)
-    constraints = tuple(
-        LinearConstraint(monomial=ev, coefficients=dict(rows[ev]), rhs=target.coefficient(ev))
-        for ev in order
-    )
-    system = GramSystem(target, grading, tuple(blocks), constraints, ())
-
-    independent, inconsistent = ratlin.row_reduce(system.rows, [c.rhs for c in constraints])
+    monomials = tuple(sorted(by_monomial, key=grlex_key, reverse=True))
+    rows = tuple(by_monomial[ev] for ev in monomials)
+    rhs = tuple(target.coefficient(ev) for ev in monomials)
+    independent, inconsistent = ratlin.row_reduce(rows, rhs)
     if inconsistent is not None:
-        ev = constraints[inconsistent].monomial
+        ev = monomials[inconsistent]
         return SupportInfeasible(
             reason=f"exact constraint system is inconsistent (first at monomial {ev})",
             monomial=ev,
         )
-    system.independent = tuple(independent)
-    return system
+    return GramSystem(target, grading, tuple(blocks), layout, monomials, rows, rhs, tuple(independent))
 
 
 def build_gram_system(

@@ -279,10 +279,6 @@ class ProblemSpec:
     m_max: int = 11
     h_margin: Optional[Polynomial] = None
 
-    @property
-    def r(self) -> int:
-        return len(self.constraints)
-
 
 def strip_comment(line: str) -> str:
     """Drop a '#' comment, ignoring '#' inside double quotes."""

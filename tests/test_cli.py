@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from posicert import cli
+from posicert import cli, driver
 from posicert.exact import format_certificate, lift_certificate, parse_certificate
 from posicert.parsing import MAX_DEGREE
 
@@ -264,3 +264,25 @@ def test_n_max_flag_overrides(capsys):
     code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), "--force", "--n-max", "0"])
     assert code == 1  # not found up to 0: the n = 1 certificate is out of reach
     assert "not found up to n = 0" in capsys.readouterr().out
+
+
+def test_huge_n_max_scans_lazily(capsys):
+    # the scan stops at its first certificate, so a bound of 10^18 costs nothing
+    code = cli.main(["certify", str(PROBLEMS / "motzkin.txt"), "--force", "--n-max", str(10**18)])
+    assert code == 0
+    assert "exact certificate at n = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump-sdp", str(PROBLEMS / "motzkin.txt"), "--n", "1"],
+        ["certify", str(PROBLEMS / "motzkin.txt"), "--force"],
+    ],
+)
+def test_dense_tensor_over_budget_is_input_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(driver, "SDP_TENSOR_BYTES", 1000)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "input error: system too large for the dense SDP" in err
+    assert "block sizes [" in err

@@ -1,5 +1,6 @@
 """Rounding, projection, rational LDL', extraction, verification, files."""
 
+import dataclasses
 import math
 import random
 import time
@@ -103,16 +104,11 @@ class TestProjection:
     def test_inconsistent_is_flagged(self):
         system = circle_system()
         # clone with a contradictory duplicate of the first constraint
-        from posicert.gram import LinearConstraint
-
-        first = system.constraints[0]
-        clone = GramSystem(
-            system.target,
-            system.grading,
-            system.blocks,
-            system.constraints
-            + (LinearConstraint(first.monomial, dict(first.coefficients), first.rhs + 1),),
-            system.independent,
+        clone = dataclasses.replace(
+            system,
+            monomials=system.monomials + system.monomials[:1],
+            rows=system.rows + (dict(system.rows[0]),),
+            rhs=system.rhs + (system.rhs[0] + 1,),
         )
         with pytest.raises(InconsistentSystemError):
             project_to_constraints({0: frac_matrix([[1, 0], [0, 1]])}, clone)
@@ -153,16 +149,12 @@ class TestProjection:
 
 def all_pairs_projection(q_matrices, system):
     """Reference projection: the normal matrix pairs every two independent rows."""
-    index = {key: k for k, key in enumerate(system.unknown_layout)}
-    rows = [
-        {index[(b, i, j)]: c if i == j else 2 * c for (b, i, j), c in system.constraints[k].coefficients.items()}
-        for k in system.independent
-    ]
+    rows = [system.rows[k] for k in system.independent]
     weights = system.frobenius_weights()
     q = system.flatten(q_matrices)
     gram = [[sum(v * other.get(col, 0) / weights[col] for col, v in row.items()) for other in rows] for row in rows]
     residual = [
-        system.constraints[k].rhs - sum(v * q[col] for col, v in row.items())
+        system.rhs[k] - sum(v * q[col] for col, v in row.items())
         for k, row in zip(system.independent, rows)
     ]
     for row, l in zip(rows, ratlin.solve_dense(gram, residual)):

@@ -1,5 +1,6 @@
 """Basis construction, pruning, and coefficient-matching assembly."""
 
+import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -72,15 +73,16 @@ class TestBuildGramSystem:
         (block,) = system.blocks
         basis = exponents(block)
         assert set(basis) == {(1, 0), (0, 1)}
-        rows = {c.monomial: c for c in system.constraints}
+        rows = dict(zip(system.monomials, system.rows))
+        rhs = dict(zip(system.monomials, system.rhs))
         assert set(rows) == {(2, 0), (1, 1), (0, 2)}
-        assert rows[(2, 0)].rhs == 1 and rows[(0, 2)].rhs == 1 and rows[(1, 1)].rhs == 0
+        assert rhs[(2, 0)] == 1 and rhs[(0, 2)] == 1 and rhs[(1, 1)] == 0
         x_idx = basis.index((1, 0))
         y_idx = basis.index((0, 1))
-        assert rows[(2, 0)].coefficients == {(0, x_idx, x_idx): 1}
+        col = system.unknown_layout.index
+        assert rows[(2, 0)] == {col((0, x_idx, x_idx)): 1}
         lo, hi = min(x_idx, y_idx), max(x_idx, y_idx)
-        assert rows[(1, 1)].coefficients == {(0, lo, hi): 1}  # doubled in row form
-        assert system.rows[list(rows).index((1, 1))] == {system.unknown_layout.index((0, lo, hi)): 2}
+        assert rows[(1, 1)] == {col((0, lo, hi)): 2}  # doubled off the diagonal
 
     def test_odd_degree_form_is_parity_infeasible(self):
         f = parse_polynomial("x^3 + x*y^2", XY)
@@ -98,16 +100,18 @@ class TestBuildGramSystem:
         basis = exponents(plain)
         assert set(basis) == {(1, 0), (0, 1)}
         assert exponents(times_h) == ((0, 0),)
-        rows = {c.monomial: c for c in system.constraints}
+        rows = dict(zip(system.monomials, system.rows))
+        rhs = dict(zip(system.monomials, system.rhs))
         assert set(rows) == {(2, 0), (1, 1), (0, 2)}
         x_idx = basis.index((1, 0))
         y_idx = basis.index((0, 1))
+        col = system.unknown_layout.index
         # x^2: Q0_xx + Q1_11 = 1;  y^2: Q0_yy - Q1_11 = -1/2;  xy: 2*Q0_xy = 0
-        assert rows[(2, 0)].coefficients == {(0, x_idx, x_idx): 1, (1, 0, 0): 1}
-        assert rows[(0, 2)].coefficients == {(0, y_idx, y_idx): 1, (1, 0, 0): -1}
-        assert rows[(0, 2)].rhs == Fraction(-1, 2)
+        assert rows[(2, 0)] == {col((0, x_idx, x_idx)): 1, col((1, 0, 0)): 1}
+        assert rows[(0, 2)] == {col((0, y_idx, y_idx)): 1, col((1, 0, 0)): -1}
+        assert rhs[(2, 0)] == 1 and rhs[(0, 2)] == Fraction(-1, 2) and rhs[(1, 1)] == 0
         lo, hi = min(x_idx, y_idx), max(x_idx, y_idx)
-        assert rows[(1, 1)].coefficients == {(0, lo, hi): 1}
+        assert rows[(1, 1)] == {col((0, lo, hi)): 2}
         assert len(system.independent) == 3
 
     def test_unreachable_target_monomial(self):
@@ -212,7 +216,17 @@ def test_unconstrained_monomial_rows_are_all_independent():
     for target, grading in cases:
         system = build_gram_system(target, Polynomial.one(target.n_vars), 0, (), grading)
         assert isinstance(system, GramSystem)
-        assert system.independent == tuple(range(len(system.constraints)))
+        assert system.independent == tuple(range(len(system.rows)))
+
+
+def test_system_is_an_immutable_value():
+    f = parse_polynomial("x^2 - 1/2*y^2", XY)
+    h = parse_polynomial("x^2 - y^2", XY)
+    system = build_gram_system(f, sum_of_squared_variables(2), 0, (h,), Grading.single(2))
+    assert isinstance(system, GramSystem)
+    assert len(system.monomials) == len(system.rows) == len(system.rhs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.independent = ()
 
 
 def test_pruning_preserves_feasibility_verdict():

@@ -169,7 +169,7 @@ class TestParseProblem:
         assert spec.mode == "check-sos"
         assert spec.variables == ("x", "y")
         assert spec.g == sum_of_squared_variables(2)
-        assert spec.r == 0
+        assert len(spec.constraints) == 0
         assert spec.n_max == 10
         assert spec.grading == Grading.single(2)
 
@@ -182,7 +182,7 @@ class TestParseProblem:
         mode = certify
         """
         spec = parse_problem(doc)
-        assert spec.r == 1
+        assert len(spec.constraints) == 1
         assert spec.mode == "certify"
         assert spec.constraints[0] == parse_polynomial("x^2 - y^2", XY)
 

@@ -44,7 +44,7 @@ def _real_calls():
     )
     odd_spec = replace(spec, m_max=1)
     system = gram.build_gram_system(spec.f, spec.g, 0, (), spec.grading)
-    generators = {b: system.generators[b] for b in system.active_indices}
+    generators = {b: system.blocks[b].generators for b in system.active_indices}
     problem = driver.system_to_sdp(system)
     solution = sdp.solve(problem)
     q_rat = {
