@@ -1,0 +1,103 @@
+"""Print a fingerprint of the search's results on a fixed set of runs.
+
+One line per run: its name, the outcome, every scan record (exponent,
+status, rounding attempts, note, repr of t*) and the sha256 of the
+certificate text, after the certificate has been re-checked by
+``verify_certificate``.  Then one line per ``dump-sdp`` output, with the
+sha256 of its bytes.  Two versions of the program that print the same
+lines reach the same verdicts with byte-identical certificates and SDPs:
+
+    PYTHONPATH=src python scripts/compare_runs.py > side.txt
+
+on each version, then ``diff`` the two files.
+"""
+
+import hashlib
+import pathlib
+import random
+import sys
+import tempfile
+from fractions import Fraction
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+import posicert as pc
+from posicert import cli
+from posicert.gram import monomials_up_to
+from posicert.poly import Grading, Polynomial
+
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
+MOTZKIN = "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"
+ROBINSON = (
+    "x^6 + y^6 + z^6 - x^4*y^2 - x^2*y^4 - x^4*z^2 - x^2*z^4 - y^4*z^2 - y^2*z^4"
+    " + 3*x^2*y^2*z^2"
+)
+G_XYZ = "x^2 + y^2 + z^2"
+ODD_POWER = ("x^2 + y^2", "x^2*y^2*(x^2 + y^2 - 1)^2 + 1/100", "x^4 + x^3", "x^4 + y^4 + x^2*y^2 - x*y^3")
+SEARCHES = {"certify": pc.certify, "check-sos": pc.certify, "odd-power": pc.odd_power, "epsilon-margin": pc.epsilon_margin}
+
+
+def _documents():
+    """(name, problem document) of every search run."""
+    for name, f, top in (("motzkin", MOTZKIN, 4), ("robinson", ROBINSON, 3)):
+        for k in range(top + 1):
+            yield f"{name}_g{k}", f'vars = x, y, z\nf = "({f})*({G_XYZ})^{k}"\nmode = check-sos\n'
+    for h in ("x*y", "x^2 - y^2"):
+        yield f"square_h[{h}]", f'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["{h}"]\nmode = certify\nn_max = 1\n'
+    for f in ODD_POWER:
+        yield f"odd[{f}]", f'vars = x, y\nf = "{f}"\nmode = odd-power\nm_max = 3\n'
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        yield path.stem, path.read_text()
+
+
+def _random_sos(count: int, seed: int):
+    """Sums of four squares of dense ternary cubics, as scripts/run_random_sos_suite.py draws them."""
+    rng = random.Random(seed)
+    monos = monomials_up_to(3, 3)
+    for trial in range(count):
+        total = Polynomial.zero(3)
+        for _ in range(4):
+            q = Polynomial(3, {ev: Fraction(rng.randint(-3, 3)) for ev in monos})
+            total = total + q * q
+        spec = pc.ProblemSpec(
+            variables=("x", "y", "z"),
+            grading=Grading.single(3),
+            f=total,
+            g=pc.sum_of_squared_variables(3),
+            constraints=(),
+            mode="check-sos",
+        )
+        yield f"sos{seed}_{trial}", spec
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _search_line(name: str, spec) -> str:
+    report = SEARCHES[spec.mode](spec)
+    records = [(r.exponent, r.status, r.rounding_attempts, r.note, repr(r.t_star)) for r in report.records]
+    cert = "-"
+    if report.certificate is not None:
+        assert pc.verify_certificate(report.certificate).valid, name
+        cert = _digest(pc.format_certificate(report.certificate))
+    return f"{name} {report.outcome} {records} {cert}"
+
+
+def main():
+    for name, text in _documents():
+        print(_search_line(name, pc.parse_problem(text)), flush=True)
+    for name, spec in _random_sos(8, 733):
+        print(_search_line(name, spec), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp) / "dump.txt"
+        for path in sorted(PROBLEMS.glob("*.txt")):
+            for n in (0, 1):
+                code = cli.main(["dump-sdp", str(path), "--n", str(n), "--out", str(out)])
+                digest = _digest(out.read_text()) if code == 0 else "-"
+                print(f"dump-sdp {path.stem} n={n} exit={code} {digest}", flush=True)
+                out.unlink(missing_ok=True)
+
+
+if __name__ == "__main__":
+    main()

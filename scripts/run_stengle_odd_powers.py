@@ -21,7 +21,7 @@ def main():
     spec = pc.parse_problem(PROBLEM.read_text())
     start = time.monotonic()
     report = pc.odd_power(spec)
-    print(render_report(report, "m"))
+    print(render_report(report))
     print(f"elapsed: {time.monotonic() - start:.1f} s")
 
 

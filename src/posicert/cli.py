@@ -9,10 +9,10 @@
     posicert dump-sdp  <problem-file> --n N [--out file]
 
 Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
-invalid), 2 counterexample found, 3 input error (including a polynomial text
-above the parser's degree cap, dump-sdp on f = 0, an --out file that cannot
-be written, and a system whose dense SDP tensor exceeds
-driver.SDP_TENSOR_BYTES), 4 numerical failure.
+invalid), 2 counterexample found, 3 input error (including a malformed
+command line, a polynomial text above the parser's degree cap, dump-sdp on
+f = 0, an --out file that cannot be written, and a system whose dense SDP
+tensor exceeds driver.SDP_TENSOR_BYTES), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -57,8 +57,17 @@ def _add_search_arguments(sub, with_m_max=False):
     sub.add_argument("--samples", type=int, default=1000, help="precheck sample count")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a malformed command line is an input error
+    (argparse itself exits 2, which here means a counterexample)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="posicert", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="posicert", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("certify", "check-sos", "odd-power", "epsilon"):
         sub = subs.add_parser(name)
@@ -112,9 +121,7 @@ def _run_search(args, command: str) -> int:
             if args.m_max < 1 or args.m_max % 2 == 0:
                 raise ParseError("--m-max must be an odd positive integer")
             spec = replace(spec, m_max=args.m_max)
-        mode = {"certify": "certify", "check-sos": "check-sos"}.get(command)
-        if mode is not None and spec.mode != mode:
-            spec = replace(spec, mode=mode)
+        spec = replace(spec, mode={"epsilon": "epsilon-margin"}.get(command, command))
         options = SearchOptions(
             gap_tolerance=args.tol,
             denominator_bounds=_bounds_from_flag(args.denom_bound),
@@ -145,13 +152,10 @@ def _run_search(args, command: str) -> int:
     try:
         if command in ("certify", "check-sos"):
             report = driver.certify(spec, options)
-            exponent_name = "n"
         elif command == "odd-power":
             report = driver.odd_power(spec, options)
-            exponent_name = "m"
         else:
             report = driver.epsilon_margin(spec, options)
-            exponent_name = "n"
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
@@ -159,7 +163,7 @@ def _run_search(args, command: str) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    print(driver.render_report(report, exponent_name))
+    print(driver.render_report(report))
     if report.certificate is not None and args.out:
         if not _write_out(args.out, format_certificate(report.certificate)):
             return EXIT_INPUT_ERROR

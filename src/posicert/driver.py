@@ -9,12 +9,12 @@ evidence only; the only claims made are exactly verified certificates and
 exact infeasibility flags.
 
 A target with real zeros has optimal margin zero, and rounding from the
-interior succeeds only when its correction stays below the margin.  Before
-the one solve, the driver therefore restricts the Gram unknowns to the face
-cut out by the target's real zeros on the grid {-1, 0, 1}^n.  At such a zero
-z every feasible Gram matrix has Q_e b_e(z) = 0 (partial facial reduction),
-so the restriction is exact and loses no certificate, and a boundary target
-is solved on its face as an interior one.  An empty face keeps the full
+interior succeeds only when its correction stays below the margin.  The one
+solve therefore runs on ``gram.build_reduced_system``'s system, restricted
+to the face cut out by the target's real zeros on the grid {-1, 0, 1}^n:
+at such a zero z every feasible Gram matrix has Q_e b_e(z) = 0, so the
+restriction is exact and loses no certificate, and a boundary target is
+solved on its face as an interior one.  An empty face keeps the full
 system.  A borderline solve tries one denominator bound, a margin-feasible
 one the whole ladder.
 """
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import ratlin, sdp
+from . import sdp
 from .exact import (
     Certificate,
     InconsistentSystemError,
@@ -164,60 +164,22 @@ def _gram_float(system: GramSystem, solution: sdp.SdpSolution, shift: float) -> 
 # ---------------------------------------------------------------------------
 
 
-def _zero_generators(system: GramSystem, constraints) -> Optional[tuple]:
-    """The face of the Gram matrices cut out by the target's real zeros.
-
-    At a zero z of the target with every h_i(z) >= 0 the identity sums the
-    nonnegative terms (b_e(z)' Q_e b_e(z)) * h^e(z) to 0, so Q_e b_e(z) = 0
-    in every block with h^e(z) > 0.  Each such block's generators are
-    restricted to the exact nullspace of its rows b_e(z).  The zeros are
-    sought on {-1, 0, 1}^n, evaluated exactly.  Returns (zeros, per-block
-    generators of the restricted blocks), or None when no block gains a row.
-    """
-    zeros = []
-    rows = {b: [] for b in system.active_indices}
-    for z in iter_product((-1, 0, 1), repeat=system.n_vars):
-        if not any(z) or system.target.evaluate(z) != 0:
-            continue
-        if any(h.evaluate(z) < 0 for h in constraints):
-            continue
-        zeros.append(z)
-        for b, block_rows in rows.items():
-            if system.blocks[b].multiplier.evaluate(z) > 0:
-                row = {i: v for i, gen in enumerate(system.blocks[b].generators) if (v := gen.evaluate(z))}
-                if row:
-                    block_rows.append(row)
-    reduced = {}
-    for b, block_rows in rows.items():
-        if not block_rows:
-            continue
-        gens = system.blocks[b].generators
-        reduced[b] = tuple(
-            sum((c * gen for c, gen in zip(vec, gens) if c), Polynomial.zero(system.n_vars))
-            for vec in ratlin.nullspace(block_rows, len(gens))
-        )
-    return (zeros, reduced) if reduced else None
-
-
 def exponent_system(f: Polynomial, g: Polynomial, exponent: int, constraints, grading: Grading):
     """The system the search solves at one exponent, and a note naming its face.
 
-    Builds the coefficient-matching system; an exact parity/support
-    obstruction is returned as it is.  A system is restricted to the face at
-    the target's grid zeros (``_zero_generators``).  When that face is empty
-    or infeasible the full system is kept, noted "face restriction
-    infeasible".  Returns (system or obstruction, note).
+    The system is ``build_reduced_system``'s, restricted to the face at the
+    target's grid zeros; an exact parity/support obstruction is returned as
+    it is.  When that face is empty or infeasible the full system is kept,
+    noted "face restriction infeasible".  Returns (system or obstruction, note).
     """
-    system = build_gram_system(f, g, exponent, constraints, grading)
-    face = _zero_generators(system, constraints) if isinstance(system, GramSystem) else None
-    if face is None:
+    system = build_reduced_system(f, g, exponent, constraints, grading)
+    if not isinstance(system, GramSystem) or not system.face:
         return system, ""
-    zeros, generators = face
-    reduced = build_reduced_system(system, generators)
-    if not isinstance(reduced, GramSystem):
+    zeros, sizes = system.face
+    if not sizes:
         return system, "face restriction infeasible"
-    sizes = ", ".join(f"{system.block_dim(b)} -> {len(gens)}" for b, gens in generators.items())
-    return reduced, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}"
+    sizes = ", ".join(f"{before} -> {system.block_dim(b)}" for b, before in sizes)
+    return system, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}"
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +574,8 @@ class _SignFilter:
 
 
 def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -> PrecheckResult:
-    """Sample for sign violations of f and g on the constraint set.
+    """Sample for sign violations of what the mode searches: f, and g in
+    certify and epsilon-margin mode, whose identities hold a power of g.
 
     The points are ``samples`` Gaussian draws v, not normalized, with each
     coordinate rounded to a denominator of at most 10^4: for a graded f the
@@ -620,7 +583,8 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     tried at v/4 and 4v.  A deterministic grid on the parameter cube
     follows.  Points are drawn in batches of at most 256 from a stream that
     draws one at a time, and the first strictly negative value ends the
-    sampling.  Points violating some h_i >= 0 are discarded.
+    sampling.  In certify mode, the only one searching on the constraint
+    set, points violating some h_i >= 0 are discarded.
 
     Each sign is decided in float64 where a proven error bound decides it
     (|value| > 2*(2*deg + n + T + 2)*2^-53 * sum |c_t*x^e_t|, T terms, plus
@@ -637,8 +601,9 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
         graded = spec.f.multidegree(spec.grading) is not None
     except ValueError:
         graded = False
-    constraints = [_SignFilter(h) for h in spec.constraints]
-    f_filter, g_filter = _SignFilter(spec.f), _SignFilter(spec.g)
+    constraints = [_SignFilter(h) for h in spec.constraints] if spec.mode == "certify" else []
+    f_filter = _SignFilter(spec.f)
+    g_filter = _SignFilter(spec.g) if spec.mode in ("certify", "epsilon-margin") else None
 
     negative = None
     zero = None
@@ -653,7 +618,7 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
         for h in constraints:
             feasible &= h.signs(batch, xf, feasible) >= 0
         f_sign = f_filter.signs(batch, xf, feasible)
-        g_sign = g_filter.signs(batch, xf, feasible)
+        g_sign = g_filter.signs(batch, xf, feasible) if g_filter else np.ones(len(batch), dtype=np.int8)
         hits = np.flatnonzero(feasible & ((f_sign < 0) | (g_sign < 0)))
         end = hits[0] + 1 if hits.size else len(batch)  # the first negative point ends the sampling
         total += int(end)
@@ -680,7 +645,8 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
 # ---------------------------------------------------------------------------
 
 
-def render_report(report: SearchReport, exponent_name: str = "n") -> str:
+def render_report(report: SearchReport) -> str:
+    exponent_name = "m" if report.mode == "odd-power" else "n"
     lines = [f"mode: {report.mode}"]
     for w in report.warnings:
         lines.append(f"warning: {w}")

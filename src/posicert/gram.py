@@ -87,6 +87,7 @@ class GramSystem:
     rows: tuple  # dict: layout position -> coefficient
     rhs: tuple  # the target's coefficient of each row's monomial
     independent: tuple  # indices of an independent consistent subset of rows
+    face: tuple = ()  # (zeros, ((block, size before), ...)) of build_reduced_system, or ()
 
     @property
     def n_vars(self) -> int:
@@ -205,7 +206,7 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _assemble(target: Polynomial, grading: Grading, blocks):
+def _assemble(target: Polynomial, grading: Grading, blocks, face: tuple = ()):
     """Shared core: match every achievable monomial, check support, reduce.
 
     Each unknown's product writes its coefficients straight into the rows of
@@ -236,21 +237,12 @@ def _assemble(target: Polynomial, grading: Grading, blocks):
             reason=f"exact constraint system is inconsistent (first at monomial {ev})",
             monomial=ev,
         )
-    return GramSystem(target, grading, tuple(blocks), layout, monomials, rows, rhs, tuple(independent))
+    return GramSystem(target, grading, tuple(blocks), layout, monomials, rows, rhs, tuple(independent), face)
 
 
-def build_gram_system(
-    f: Polynomial,
-    g: Polynomial,
-    n: int,
-    constraints: Sequence[Polynomial],
-    grading: Grading,
-    prune: bool = True,
-):
-    """Build the matching system for f*g^n against the given constraints.
-
-    Returns a GramSystem, or ParityInfeasible / SupportInfeasible.
-    """
+def _blocks(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading, prune: bool):
+    """The target f*g^n and one block of monomial generators per product
+    index, or ParityInfeasible when no block has any."""
     r = len(constraints)
     if r > MAX_CONSTRAINTS:
         raise ValueError(f"at most {MAX_CONSTRAINTS} constraints supported, got {r}")
@@ -299,22 +291,66 @@ def build_gram_system(
         GramBlock(e, multiplier, tuple(Polynomial.monomial(n_vars, ev) for ev in basis))
         for e, multiplier, basis in zip(iter_product((0, 1), repeat=r), multipliers, candidates)
     )
+    return target, blocks
+
+
+def build_gram_system(
+    f: Polynomial,
+    g: Polynomial,
+    n: int,
+    constraints: Sequence[Polynomial],
+    grading: Grading,
+    prune: bool = True,
+):
+    """Build the matching system for f*g^n against the given constraints.
+
+    Returns a GramSystem, or ParityInfeasible / SupportInfeasible.
+    """
+    built = _blocks(f, g, n, constraints, grading, prune)
+    if isinstance(built, ParityInfeasible):
+        return built
+    target, blocks = built
     return _assemble(target, grading, blocks)
 
 
-def build_reduced_system(system: GramSystem, block_generators: Mapping):
-    """Re-pose a system with the mapped blocks' generators replaced.
+def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading):
+    """The system the search solves: ``build_gram_system``'s pruned blocks,
+    restricted to the face at the target's real zeros, assembled once.
 
-    Used after the face restriction at the target's real zeros: each mapped
-    block's new generators are rational combinations of its monomials, and
-    a zero one is dropped.  Blocks absent from the mapping are kept.
+    At a zero z of the target with every h_i(z) >= 0 the identity sums the
+    nonnegative terms (b_e(z)' Q_e b_e(z)) * h^e(z) to 0, so Q_e b_e(z) = 0
+    in every block with h^e(z) > 0 (partial facial reduction), and the
+    block's generators are restricted to the exact nullspace of its rows
+    b_e(z).  The zeros z != 0 are sought on {-1, 0, 1}^n, evaluated exactly.
+    ``face`` is () when no block gains a row, (zeros, ((block, size
+    before), ...)) on the face, and (zeros, ()) when the face is empty or
+    infeasible and the full system of the same blocks is kept.
     """
-    blocks = list(system.blocks)
-    for b_idx, gens in block_generators.items():
-        blocks[b_idx] = replace(blocks[b_idx], generators=tuple(g for g in gens if not g.is_zero()))
-    if not any(block.active for block in blocks):
-        return ParityInfeasible(reason="face restriction removed every generator")
-    return _assemble(system.target, system.grading, blocks)
+    built = _blocks(f, g, n, constraints, grading, prune=True)
+    if isinstance(built, ParityInfeasible):
+        return built
+    target, blocks = built
+    grid = iter_product((-1, 0, 1), repeat=target.n_vars)
+    zeros = tuple(
+        z for z in grid if any(z) and target.evaluate(z) == 0 and all(h.evaluate(z) >= 0 for h in constraints)
+    )
+    face_blocks, sizes, zero = list(blocks), [], Polynomial.zero(target.n_vars)
+    for b, block in enumerate(blocks):
+        gens = block.generators
+        inside = [z for z in zeros if block.multiplier.evaluate(z) > 0]
+        rows = [row for z in inside if (row := {i: v for i, gen in enumerate(gens) if (v := gen.evaluate(z))})]
+        if rows:
+            kernel = ratlin.nullspace(rows, len(gens))
+            combos = (sum((c * gen for c, gen in zip(vec, gens) if c), zero) for vec in kernel)
+            face_blocks[b] = replace(block, generators=tuple(combos))
+            sizes.append((b, len(gens)))
+    if not sizes:
+        return _assemble(target, grading, blocks)
+    if any(block.active for block in face_blocks):
+        system = _assemble(target, grading, face_blocks, (zeros, tuple(sizes)))
+        if isinstance(system, GramSystem):
+            return system
+    return _assemble(target, grading, blocks, (zeros, ()))
 
 
 def reconstruct(system: GramSystem, matrices: Mapping) -> Polynomial:

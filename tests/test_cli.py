@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from posicert import cli, driver
+from posicert import cli, driver, sdp
 from posicert.exact import format_certificate, lift_certificate, parse_certificate
 from posicert.parsing import MAX_DEGREE
 
@@ -286,3 +286,82 @@ def test_dense_tensor_over_budget_is_input_error(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "input error: system too large for the dense SDP" in err
     assert "block sizes [" in err
+
+
+def test_odd_power_precheck_ignores_g(tmp_path, capsys):
+    # odd-power searches f^m alone, so a g that changes sign is no counterexample
+    problem = tmp_path / "odd_g.txt"
+    problem.write_text('vars = x, y\nf = "x^2 + y^2"\ng = "x"\nmode = odd-power\nm_max = 1\n')
+    assert cli.main(["odd-power", str(problem)]) == 0
+    assert "outcome: exact certificate at m = 1" in capsys.readouterr().out
+
+
+def test_check_sos_precheck_keeps_points_off_the_constraint_set(tmp_path, capsys):
+    # check-sos searches without constraints: f(0, 1) = -2 is a counterexample
+    # although x^2 - 4*y^2 is negative there
+    problem = tmp_path / "sos_h.txt"
+    problem.write_text('vars = x, y\nf = "x^2 - 2*y^2"\nh = ["x^2 - 4*y^2"]\nmode = check-sos\n')
+    assert cli.main(["check-sos", str(problem)]) == 2
+    assert "counterexample: f = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["certify", str(PROBLEMS / "motzkin.txt"), "--n-max", "x"], ["certify"]])
+def test_malformed_command_line_is_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 3
+    assert "usage: posicert certify" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--help"])
+    assert exc.value.code == 0
+
+
+def test_odd_power_undecided_outcome(capsys):
+    code = cli.main(["odd-power", str(PROBLEMS / "stengle.txt"), "--m-max", "3", "--force"])
+    assert code == 1
+    assert "outcome: unknown (undecided at m in [3])" in capsys.readouterr().out
+
+
+def test_zero_h_margin_is_rejected(tmp_path, capsys):
+    problem = tmp_path / "eps0.txt"
+    problem.write_text('vars = x, y\nf = "x^2 + y^2"\ng = "x^2 + y^2"\nh_margin = "0"\nmode = epsilon-margin\n')
+    assert cli.main(["epsilon", str(problem)]) == 3
+    out = capsys.readouterr().out
+    assert "warning: h_margin is zero: " in out
+    assert "outcome: rejected" in out
+
+
+@pytest.mark.parametrize("limit, ladder", [(1000, (100, 1000)), (50, (50,)), (10**4, (100, 10**4))])
+def test_denominator_ladder_from_flag(limit, ladder):
+    assert cli._bounds_from_flag(limit) == ladder
+
+
+def test_denom_bound_flag_sets_the_last_rung(tmp_path, capsys):
+    # a margin of 1/1000: the first rung (100) fails, the flag's 5000 certifies
+    problem = tmp_path / "perturbed.txt"
+    problem.write_text(
+        'vars = x, y, z\nf = "(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2 + 1/1000*(x^2 + y^2 + z^2)^3)'
+        '*(x^2 + y^2 + z^2)"\nmode = check-sos\n'
+    )
+    out = tmp_path / "perturbed.cert"
+    argv = ["check-sos", str(problem), "--denom-bound", "5000", "--force", "--out", str(out)]
+    assert cli.main(argv) == 0
+    record = capsys.readouterr().out.splitlines()[1]
+    assert record.startswith("  n=0: certified") and record.endswith("rounding attempts=2")
+    assert "denominator_bound = 5000\n" in out.read_text()
+    assert cli.main(argv[:2] + ["--denom-bound", "0"]) == 3
+    assert "input error: --denom-bound must be positive" in capsys.readouterr().err
+
+
+def test_numerical_failure_exit(monkeypatch, capsys):
+    def broken(problem, *args, **kwargs):
+        return sdp.SdpSolution(
+            status=sdp.NUMERICAL_FAILURE, t_star=float("nan"), x_blocks=[], y=None, s_blocks=[], gap=float("inf"), iterations=0
+        )
+
+    monkeypatch.setattr(driver.sdp, "solve", broken)
+    assert cli.main(["certify", str(PROBLEMS / "perturbed_motzkin.txt"), "--force"]) == 4
+    assert "numerical failure" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from posicert import driver, gram, ratlin, sdp
 from posicert.driver import (
-    _zero_generators,
     certify,
     epsilon_margin,
     odd_power,
@@ -301,7 +300,11 @@ class TestPrecheck:
 
 def _reference_precheck(spec, samples, seed):
     """The precheck as it was before batching: one point at a time, every
-    value by Polynomial.evaluate, points rounded by Fraction.limit_denominator."""
+    value by Polynomial.evaluate, points rounded by Fraction.limit_denominator.
+    The constraints filter the points in certify mode only, and g is checked
+    in certify and epsilon-margin mode only."""
+    constraints = spec.constraints if spec.mode == "certify" else ()
+    checked = [("f", spec.f)] + ([("g", spec.g)] if spec.mode in ("certify", "epsilon-margin") else [])
     try:
         graded = spec.f.multidegree(spec.grading) is not None
     except ValueError:
@@ -325,10 +328,10 @@ def _reference_precheck(spec, samples, seed):
         total += 1
         if all(v == 0 for v in point):
             continue
-        if any(h.evaluate(point) < 0 for h in spec.constraints):
+        if any(h.evaluate(point) < 0 for h in constraints):
             continue
         kept += 1
-        for which, poly in (("f", spec.f), ("g", spec.g)):
+        for which, poly in checked:
             value = poly.evaluate(point)
             if value < 0:
                 if negative is None:
@@ -471,11 +474,10 @@ class TestKernelRestriction:
         assert isinstance(system, GramSystem)
         solution = sdp.solve(system_to_sdp(system), 1e-8, 100)
         assert abs(solution.t_star) <= 1e-6  # genuinely on the boundary
-        zeros, generators = _zero_generators(system, ())
-        assert generators is not None
-        reduced = build_reduced_system(system, generators)
+        reduced = build_reduced_system(f, g, 1, (), Grading.single(3))
         assert isinstance(reduced, GramSystem)
-        assert reduced.blocks[0].generators == generators[0]
+        _, sizes = reduced.face
+        assert sizes == ((0, system.block_dim(0)),)  # block 0 restricted from the full basis
         assert reduced.block_dim(0) == len(reduced.blocks[0].generators)
         assert reduced.block_dim(0) < system.block_dim(0)
         reduced_solution = sdp.solve(system_to_sdp(reduced), 1e-8, 100)
@@ -486,12 +488,13 @@ class TestKernelRestriction:
     def test_restricted_generators_vanish_at_every_grid_zero(self, n, before, after):
         f = parse_polynomial(MOTZKIN, XYZ)
         g = parse_polynomial(G_XYZ, XYZ)
-        system = build_gram_system(f, g, n, (), Grading.single(3))
-        zeros, generators = _zero_generators(system, ())
-        assert zeros == [z for z in GRID if system.target.evaluate(z) == 0]
+        system = build_reduced_system(f, g, n, (), Grading.single(3))
+        zeros, ((block, size_before),) = system.face
+        assert list(zeros) == [z for z in GRID if system.target.evaluate(z) == 0]
         assert len(zeros) == 12
-        assert (system.block_dim(0), len(generators[0])) == (before, after)
-        assert all(gen.evaluate(z) == 0 for gen in generators[0] for z in zeros)
+        assert size_before == build_gram_system(f, g, n, (), Grading.single(3)).block_dim(0)
+        assert (block, size_before, system.block_dim(0)) == (0, before, after)
+        assert all(gen.evaluate(z) == 0 for gen in system.blocks[0].generators for z in zeros)
 
     def test_robinson_certifies_on_its_face(self):
         # the numeric kernel guess left R*g^2 undecided; its 20 grid zeros
@@ -522,12 +525,10 @@ class TestKernelRestriction:
 
     def test_no_grid_zero_means_no_restriction(self, monkeypatch):
         perturbed = parse_problem((PROBLEMS / "perturbed_motzkin.txt").read_text())
-        system = build_gram_system(perturbed.f, perturbed.g, 1, (), Grading.single(3))
-        assert _zero_generators(system, ()) is None
+        assert build_reduced_system(perturbed.f, perturbed.g, 1, (), Grading.single(3)).face == ()
         stengle = parse_problem((PROBLEMS / "stengle.txt").read_text())
         one = Polynomial.one(2)
-        system = build_gram_system(stengle.f**3, one, 0, (), stengle.grading)
-        assert _zero_generators(system, ()) is None
+        assert build_reduced_system(stengle.f**3, one, 0, (), stengle.grading).face == ()
         # Stengle m = 3 ends borderline: one rung, no face, no second solve
         calls = []
         solve = sdp.solve
@@ -544,16 +545,17 @@ class TestKernelRestriction:
         f = parse_polynomial("(x^2 - y^2)^2", XY)
         one = Polynomial.one(2)
         h = parse_polynomial("x*y", XY)
-        system = build_gram_system(f, one, 0, (h,), Grading.single(2))
-        zeros, generators = _zero_generators(system, (h,))
-        assert zeros == [(-1, -1), (1, 1)]
-        assert sorted(generators) == system.active_indices  # both multipliers are 1 there
+        system = build_reduced_system(f, one, 0, (h,), Grading.single(2))
+        zeros, sizes = system.face
+        assert zeros == ((-1, -1), (1, 1))
+        full = build_gram_system(f, one, 0, (h,), Grading.single(2))
+        assert [b for b, _ in sizes] == full.active_indices  # both multipliers are 1 there
         # x^2 - y^2 vanishes at all four zeros: its block keeps its generators
         h = parse_polynomial("x^2 - y^2", XY)
-        system = build_gram_system(f, one, 0, (h,), Grading.single(2))
-        zeros, generators = _zero_generators(system, (h,))
+        system = build_reduced_system(f, one, 0, (h,), Grading.single(2))
+        zeros, sizes = system.face
         assert len(zeros) == 4
-        (restricted,) = generators
+        ((restricted, _),) = sizes
         assert system.blocks[restricted].multiplier == one
 
 

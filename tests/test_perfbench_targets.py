@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 
 from posicert import driver, exact, gram, sdp
-from posicert.parsing import parse_problem
-from posicert.poly import Polynomial
+from posicert.parsing import parse_polynomial, parse_problem
+from posicert.poly import Grading, Polynomial, sum_of_squared_variables
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -37,14 +37,17 @@ def test_trace_targets_resolve():
 
 def _real_calls():
     """(module, function) -> (positional args, result) of one real call each,
-    on x^2 + y^2 with multiplier x^2 + y^2."""
+    on x^2 + y^2 with multiplier x^2 + y^2, and the face system of Motzkin's
+    form times x^2 + y^2 + z^2."""
     spec = parse_problem(
         'vars = x, y\nf = "x^2 + y^2"\ng = "x^2 + y^2"\nh_margin = "x*y"\n'
         "mode = epsilon-margin\nn_max = 0\n"
     )
     odd_spec = replace(spec, m_max=1)
     system = gram.build_gram_system(spec.f, spec.g, 0, (), spec.grading)
-    generators = {b: system.blocks[b].generators for b in system.active_indices}
+    xyz = ("x", "y", "z")
+    motzkin = parse_polynomial("x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2", xyz)
+    face_args = (motzkin, sum_of_squared_variables(3), 1, (), Grading.single(3))
     problem = driver.system_to_sdp(system)
     solution = sdp.solve(problem)
     q_rat = {
@@ -57,9 +60,7 @@ def _real_calls():
     cert = exact.certificate_from_gram(system, q_proj, **meta)
     return {
         ("gram", "build_gram_system"): ((spec.f, spec.g, 0, (), spec.grading), system),
-        ("gram", "build_reduced_system"): (
-            (system, generators), gram.build_reduced_system(system, generators)
-        ),
+        ("gram", "build_reduced_system"): (face_args, gram.build_reduced_system(*face_args)),
         ("sdp", "solve"): ((problem,), solution),
         ("exact", "project_to_constraints"): ((q_rat, system), q_proj),
         ("exact", "exact_ldlt"): ((block,), exact.exact_ldlt(block)),
@@ -88,5 +89,6 @@ def test_trace_hooks_read_real_results():
     assert tracer.counts["sdp.iterations"] == calls["sdp", "solve"][1].iterations > 0
     assert tracer.counts["driver.exponents"] == 3
     assert tracer.maxima["gram.rows_max"] > 0
+    assert tracer.maxima["gram.dim_max"] == 5  # the face of Motzkin*g, not its full basis of 9
     assert tracer.counts["exact.cert_bytes"] > 0
     tracer.metrics(1.0)
