@@ -4,7 +4,9 @@ One line per run: its name, the outcome, every scan record (exponent,
 status, rounding attempts, note, repr of t*) and the sha256 of the
 certificate text, after the certificate has been re-checked by
 ``verify_certificate``.  Then one line per ``dump-sdp`` output, with the
-sha256 of its bytes.  Two versions of the program that print the same
+sha256 of its bytes, of each problem at the exponents its mode scans first:
+n = 0, 1 in certify and epsilon-margin mode, n = 0 in check-sos mode and
+m = 1, 3 in odd-power mode.  Two versions of the program that print the same
 lines reach the same verdicts with byte-identical certificates and SDPs:
 
     PYTHONPATH=src python scripts/compare_runs.py > side.txt
@@ -34,6 +36,8 @@ ROBINSON = (
 )
 G_XYZ = "x^2 + y^2 + z^2"
 ODD_POWER = ("x^2 + y^2", "x^2*y^2*(x^2 + y^2 - 1)^2 + 1/100", "x^4 + x^3", "x^4 + y^4 + x^2*y^2 - x*y^3")
+CHECK_SOS_WITH_H = 'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["x*y"]\nmode = check-sos\n'
+FIRST_EXPONENTS = {"certify": (0, 1), "check-sos": (0,), "odd-power": (1, 3), "epsilon-margin": (0, 1)}
 SEARCHES = {"certify": pc.certify, "check-sos": pc.certify, "odd-power": pc.odd_power, "epsilon-margin": pc.epsilon_margin}
 
 
@@ -46,6 +50,12 @@ def _documents():
         yield f"square_h[{h}]", f'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["{h}"]\nmode = certify\nn_max = 1\n'
     for f in ODD_POWER:
         yield f"odd[{f}]", f'vars = x, y\nf = "{f}"\nmode = odd-power\nm_max = 3\n'
+    yield from _dumped()
+
+
+def _dumped():
+    """(name, problem document) of every dump-sdp run."""
+    yield "check_sos_h[x*y]", CHECK_SOS_WITH_H
     for path in sorted(PROBLEMS.glob("*.txt")):
         yield path.stem, path.read_text()
 
@@ -90,12 +100,13 @@ def main():
     for name, spec in _random_sos(8, 733):
         print(_search_line(name, spec), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        out = pathlib.Path(tmp) / "dump.txt"
-        for path in sorted(PROBLEMS.glob("*.txt")):
-            for n in (0, 1):
-                code = cli.main(["dump-sdp", str(path), "--n", str(n), "--out", str(out)])
+        problem, out = pathlib.Path(tmp) / "problem.txt", pathlib.Path(tmp) / "dump.txt"
+        for name, text in _dumped():
+            problem.write_text(text)
+            for n in FIRST_EXPONENTS[pc.parse_problem(text).mode]:
+                code = cli.main(["dump-sdp", str(problem), "--n", str(n), "--out", str(out)])
                 digest = _digest(out.read_text()) if code == 0 else "-"
-                print(f"dump-sdp {path.stem} n={n} exit={code} {digest}", flush=True)
+                print(f"dump-sdp {name} n={n} exit={code} {digest}", flush=True)
                 out.unlink(missing_ok=True)
 
 

@@ -8,11 +8,15 @@
     posicert verify    <cert-file>
     posicert dump-sdp  <problem-file> --n N [--out file]
 
+dump-sdp writes the first SDP the file's mode solves at scan exponent N: n
+(certify), 0 only (check-sos), an odd m (odd-power), the stage n (epsilon).
+
 Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
 invalid), 2 counterexample found, 3 input error (including a malformed
 command line, a polynomial text above the parser's degree cap, dump-sdp on
-f = 0, an --out file that cannot be written, and a system whose dense SDP
-tensor exceeds driver.SDP_TENSOR_BYTES), 4 numerical failure.
+f = 0 or at an exponent the mode never scans, an --out file that cannot be
+written, and a system whose dense SDP tensor exceeds
+driver.SDP_TENSOR_BYTES), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ def _make_parser() -> argparse.ArgumentParser:
     verify.add_argument("certificate", help="certificate file (exact arithmetic check only)")
     dump = subs.add_parser("dump-sdp")
     dump.add_argument("problem", help="problem file")
-    dump.add_argument("--n", type=int, required=True, help="multiplier power")
+    dump.add_argument("--n", type=int, required=True, help="scan exponent of the file's mode")
     dump.add_argument("--out", default=None, help="write the dump to this file")
     return parser
 
@@ -196,8 +200,8 @@ def _run_dump(args) -> int:
             spec = parse_problem(fh.read())
         if args.n < 0:
             raise ParseError("--n must be nonnegative")
-        system, _ = driver.exponent_system(spec.f, spec.g, args.n, spec.constraints, spec.grading)
-        problem = driver.system_to_sdp(system) if isinstance(system, GramSystem) else None
+        system, column, _, _ = driver.exponent_system(spec, args.n)
+        problem = driver.system_to_sdp(system, column) if isinstance(system, GramSystem) else None
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -2,11 +2,11 @@
 drive the numeric-then-exact certification pipeline.
 
 For each candidate exponent the driver builds the coefficient-matching
-system, solves the margin SDP, and on numerical feasibility rounds the
-interior point to an exactly verified rational certificate.  Exact parity or
-support obstructions skip the solve.  Numerical verdicts are reported as
-evidence only; the only claims made are exactly verified certificates and
-exact infeasibility flags.
+system its mode poses there (``exponent_system``), solves the margin SDP,
+and on numerical feasibility rounds the interior point to an exactly
+verified rational certificate.  Exact parity or support obstructions skip
+the solve.  Numerical verdicts are reported as evidence only; the only
+claims made are exactly verified certificates and exact infeasibility flags.
 
 A target with real zeros has optimal margin zero, and rounding from the
 interior succeeds only when its correction stays below the margin.  The one
@@ -47,7 +47,8 @@ from .gram import (
     build_reduced_system,
 )
 from .parsing import ProblemSpec
-from .poly import Grading, Polynomial
+from .poly import Polynomial
+from .ratlin import limit_denominator
 
 DEFAULT_DENOMINATOR_BOUNDS = (10**2, 10**4, 10**8, 10**12)
 
@@ -160,26 +161,60 @@ def _gram_float(system: GramSystem, solution: sdp.SdpSolution, shift: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# the system of one exponent: face restriction at the target's zeros
+# the system of one scan exponent, per mode
 # ---------------------------------------------------------------------------
 
 
-def exponent_system(f: Polynomial, g: Polynomial, exponent: int, constraints, grading: Grading):
-    """The system the search solves at one exponent, and a note naming its face.
+def _identity(spec: ProblemSpec, exponent: int) -> tuple:
+    """The (f, g, constraints, n) of a certificate found at one scan exponent
+    of a certify, check-sos or odd-power scan; ValueError for an exponent
+    the mode never scans."""
+    if spec.mode == "check-sos":
+        if exponent != 0:
+            raise ValueError("check-sos scans n = 0 only")
+        return spec.f, spec.g, (), 0
+    if spec.mode == "odd-power":
+        if exponent < 1 or exponent % 2 == 0:
+            raise ValueError("odd-power scans odd powers m >= 1 only")
+        return spec.f, spec.f, (), exponent - 1  # f^m = f * f^(m-1)
+    return spec.f, spec.g, spec.constraints, exponent
 
-    The system is ``build_reduced_system``'s, restricted to the face at the
-    target's grid zeros; an exact parity/support obstruction is returned as
-    it is.  When that face is empty or infeasible the full system is kept,
-    noted "face restriction infeasible".  Returns (system or obstruction, note).
+
+def exponent_system(spec: ProblemSpec, exponent: int):
+    """The SDP the spec's mode solves first at one scan exponent.
+
+    This is the one map from a mode to its identity: certify poses f*g^n on
+    the face under h, check-sos f at n = 0 without h, odd-power f*f^(m-1) at
+    odd m, and epsilon-margin the stage system of f*g^(n+1), whose column
+    holds the coefficients of g^n*h_margin^2.  The face is the one
+    ``build_reduced_system`` restricts to at the target's grid zeros, noted
+    "face restriction infeasible" when it is empty or infeasible and the
+    full system is kept.  Returns (system or exact obstruction, column, note,
+    the certificate's (f, g, constraints, n)); the column None is the
+    margin's, and the epsilon stage, which certifies nothing itself, has no
+    identity.  An exponent the mode never scans raises ValueError.
     """
-    system = build_reduced_system(f, g, exponent, constraints, grading)
+    if spec.mode == "epsilon-margin":
+        if spec.h_margin is None or spec.h_margin.is_zero():
+            raise ValueError("epsilon-margin mode requires a nonzero h_margin")
+        one = Polynomial.one(len(spec.variables))
+        system = build_gram_system(spec.f * spec.g ** (exponent + 1), one, 0, (), spec.grading)
+        if not isinstance(system, GramSystem):
+            return system, None, "", None
+        eps_poly = spec.g**exponent * (spec.h_margin * spec.h_margin)
+        if not set(eps_poly.terms) <= set(system.monomials):
+            return SupportInfeasible("h^2 support not reachable at this degree"), None, "", None
+        column = {k: c for k, ev in enumerate(system.monomials) if (c := eps_poly.coefficient(ev))}
+        return system, column, "", None
+    identity = f, g, constraints, n = _identity(spec, exponent)
+    system = build_reduced_system(f, g, n, constraints, spec.grading)
     if not isinstance(system, GramSystem) or not system.face:
-        return system, ""
+        return system, None, "", identity
     zeros, sizes = system.face
     if not sizes:
-        return system, "face restriction infeasible"
+        return system, None, "face restriction infeasible", identity
     sizes = ", ".join(f"{before} -> {system.block_dim(b)}" for b, before in sizes)
-    return system, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}"
+    return system, None, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}", identity
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +222,7 @@ def exponent_system(f: Polynomial, g: Polynomial, exponent: int, constraints, gr
 # ---------------------------------------------------------------------------
 
 
-def _round_and_certify(system, q_float, bounds, meta, margin_value):
+def _round_and_certify(system, q_float, bounds, variables, identity, margin_value):
     """The rounding ladder: round, project, LDL', verify; escalate bounds."""
     attempts = 0
     for bound in bounds:
@@ -197,13 +232,7 @@ def _round_and_certify(system, q_float, bounds, meta, margin_value):
             q_proj = project_to_constraints(q_rat, system)
         except InconsistentSystemError as exc:
             return None, attempts, f"projection failed: {exc}"
-        cert = certificate_from_gram(
-            system,
-            q_proj,
-            margin=margin_value,
-            denominator_bound=bound,
-            **meta,
-        )
+        cert = certificate_from_gram(system, q_proj, variables, *identity, margin=margin_value, denominator_bound=bound)
         if cert is not None:
             result = verify_certificate(cert)
             if not result.valid:  # construction bug, not an input condition
@@ -223,18 +252,10 @@ def _obstruction(system, exponent: int) -> Optional[ScanRecord]:
     return ScanRecord(exponent, _OBSTRUCTION_STATUS[type(system)], note=system.reason)
 
 
-def _attempt(
-    f: Polynomial,
-    g: Polynomial,
-    constraints,
-    grading: Grading,
-    variables,
-    exponent: int,
-    options: SearchOptions,
-):
-    """Build, solve, and (when numerically feasible) exactly certify one n."""
-    meta = dict(variables=variables, f=f, g=g, constraints=constraints, n=exponent)
-    system, note = exponent_system(f, g, exponent, constraints, grading)
+def _attempt(spec: ProblemSpec, exponent: int, options: SearchOptions):
+    """Build, solve, and (when numerically feasible) exactly certify the
+    margin SDP of one scan exponent of a certify, check-sos or odd-power scan."""
+    system, _, note, identity = exponent_system(spec, exponent)
     obstruction = _obstruction(system, exponent)
     if obstruction is not None:
         return obstruction, None
@@ -251,7 +272,7 @@ def _attempt(
     borderline = solution.status == sdp.BORDERLINE
     bounds = options.denominator_bounds[:1] if borderline else options.denominator_bounds
     q_float = _gram_float(system, solution, max(solution.t_star, 0.0))
-    cert, attempts, failure = _round_and_certify(system, q_float, bounds, meta, solution.t_star)
+    cert, attempts, failure = _round_and_certify(system, q_float, bounds, spec.variables, identity, solution.t_star)
     status = CERTIFIED if cert is not None else BORDERLINE if borderline else ROUNDING_FAILED
     note = "; ".join(part for part in (note, failure) if part)
     return ScanRecord(exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note), cert
@@ -306,37 +327,23 @@ def _scan(mode: str, exponents, bound: int, step, warnings=()) -> SearchReport:
 def certify(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
     """Scan n = 0, 1, ..., n_max for an exactly certified f*g^n identity.
 
-    check-sos mode is the same scan pinned to n = 0 with no constraints.
-    Both parities are scanned; parity-infeasible n are skipped by the exact
-    degree bookkeeping, not by assumption.
+    check-sos mode is the same scan pinned to n = 0 with no constraints
+    (``exponent_system``).  Both parities are scanned; parity-infeasible n
+    are skipped by the exact degree bookkeeping, not by assumption.
     """
     options = options or SearchOptions()
-    if spec.mode == "check-sos":
-        constraints, ns, mode = (), [0], "check-sos"
-    else:
-        constraints, ns, mode = spec.constraints, range(spec.n_max + 1), "certify"
+    spec = replace(spec, mode="check-sos" if spec.mode == "check-sos" else "certify")
+    ns = [0] if spec.mode == "check-sos" else range(spec.n_max + 1)
     if spec.f.is_zero():
-        empty = Certificate(
-            variables=spec.variables,
-            grading=spec.grading,
-            f=spec.f,
-            g=spec.g,
-            constraints=constraints,
-            n=0,
-            blocks=(),
-        )
+        f, g, constraints, n = _identity(spec, 0)
+        empty = Certificate(spec.variables, spec.grading, f, g, constraints, n, blocks=())
         zero_target = ScanRecord(0, CERTIFIED, note="zero target")
-        return _scan(mode, [0], ns[-1], lambda n: (zero_target, empty, None))
+        return _scan(spec.mode, [0], ns[-1], lambda n: (zero_target, empty, None))
     warnings = []
     if not spec.g.is_zero() and spec.g.total_degree() == 0 and len(ns) > 1:
         warnings.append("g is constant: higher powers only rescale the target, scanning n = 0 only")
         ns = [0]
-
-    def step(n):
-        rec, cert = _attempt(spec.f, spec.g, constraints, spec.grading, spec.variables, n, options)
-        return rec, cert, None
-
-    return _scan(mode, ns, ns[-1], step, warnings)
+    return _scan(spec.mode, ns, ns[-1], lambda n: (*_attempt(spec, n, options), None), warnings)
 
 
 def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
@@ -344,13 +351,8 @@ def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Sea
     options = options or SearchOptions()
     if spec.m_max < 1 or spec.m_max % 2 == 0:
         raise ValueError("m_max must be an odd positive integer")
-
-    def step(m):
-        # f^m = f * f^(m-1): the certificate proves the identity for g = f, N = m - 1
-        rec, cert = _attempt(spec.f, spec.f, (), spec.grading, spec.variables, m - 1, options)
-        return replace(rec, exponent=m), cert, None
-
-    return _scan("odd-power", range(1, spec.m_max + 1, 2), spec.m_max, step)
+    spec = replace(spec, mode="odd-power")
+    return _scan(spec.mode, range(1, spec.m_max + 1, 2), spec.m_max, lambda m: (*_attempt(spec, m, options), None))
 
 
 def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
@@ -362,33 +364,25 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
     term e*g^n*h^2 is itself a sum of squares.
     """
     options = options or SearchOptions()
-    if spec.h_margin is None:
-        raise ValueError("epsilon-margin mode requires h_margin")
-    if spec.h_margin.is_zero():
+    spec = replace(spec, mode="epsilon-margin")
+    if spec.h_margin is not None and spec.h_margin.is_zero():
         return SearchReport(
-            mode="epsilon-margin",
+            mode=spec.mode,
             records=[],
             outcome=OUTCOME_REJECTED,
             certificate=None,
             bound=spec.n_max,
             warnings=["h_margin is zero: the margin constraint is vacuous and epsilon unbounded"],
         )
-    one = Polynomial.one(len(spec.variables))
-    h_sq = spec.h_margin * spec.h_margin
 
     def step(n):
         def no_certificate(status, t_star=None, note=""):
             return ScanRecord(n, status, t_star=t_star, note=note), None, None
 
-        target = spec.f * spec.g ** (n + 1)
-        system = build_gram_system(target, one, 0, (), spec.grading)
+        system, column, _, _ = exponent_system(spec, n)
         obstruction = _obstruction(system, n)
         if obstruction is not None:
             return obstruction, None, None
-        eps_poly = spec.g**n * h_sq
-        if not set(eps_poly.terms) <= set(system.monomials):
-            return no_certificate(SUPPORT_INFEASIBLE, note="h^2 support not reachable at this degree")
-        column = {k: c for k, ev in enumerate(system.monomials) if (c := eps_poly.coefficient(ev))}
         # no unknown of this monomial system is in two rows, so every row is
         # independent, with or without the column, and all of them are posed
         solution = sdp.solve(system_to_sdp(system, column), options.gap_tolerance)
@@ -402,9 +396,8 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
         eps_cert = _shrink_rationalize(eps_star)
         if eps_cert <= 0:
             return no_certificate(ROUNDING_FAILED, eps_star, "epsilon rationalized to zero")
-        rec, cert = _attempt(
-            spec.g * spec.f - eps_cert * h_sq, spec.g, (), spec.grading, spec.variables, n, options
-        )
+        stage = replace(spec, mode="certify", f=spec.g * spec.f - eps_cert * spec.h_margin**2, constraints=())
+        rec, cert = _attempt(stage, n, options)
         note = f"epsilon* = {eps_star:.3e}, certified epsilon = {eps_cert}"
         return replace(rec, note=(rec.note + "; " if rec.note else "") + note), cert, eps_cert
 
@@ -420,7 +413,7 @@ def _shrink_rationalize(value: float) -> Fraction:
     """
     target = 0.75 * value
     for bound in (16, 1024, 10**6, 10**9):
-        candidate = Fraction(target).limit_denominator(bound)
+        candidate = limit_denominator(target, bound)
         if 0 < candidate <= Fraction(0.8 * value):
             return candidate
     return Fraction(target)
@@ -453,36 +446,11 @@ def _grid_points(n_vars: int):
         yield combo
 
 
-def _limit_denominator(x: float, max_denominator: int) -> Fraction:
-    """``Fraction(x).limit_denominator(max_denominator)``, built without its
-    intermediate Fractions: the same continued-fraction walk over the exact
-    value of x, and the same choice between the last convergent and the best
-    semiconvergent (the convergent on a tie), made by cross-multiplication.
-    """
-    num, den = x.as_integer_ratio()
-    if den <= max_denominator:
-        return Fraction(num, den)
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    p, q = p0 + k * p1, q0 + k * q1
-    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
-        return Fraction(p1, q1)
-    return Fraction(p, q)
-
-
 def _sample_points(n_vars: int, samples: int, graded: bool, seed: int):
     """The precheck's sample points in draw order, drawn one at a time."""
     rng = random.Random(seed)
     for _ in range(samples):
-        vec = [_limit_denominator(rng.gauss(0.0, 1.0), 10**4) for _ in range(n_vars)]
+        vec = [limit_denominator(rng.gauss(0.0, 1.0), 10**4) for _ in range(n_vars)]
         if all(v == 0 for v in vec):
             continue
         yield tuple(vec)

@@ -47,7 +47,7 @@ def round_to_rational(matrix, denominator_bound: int):
     """Entrywise best rational approximation with bounded denominator.
 
     The input is symmetrized first; continued-fraction convergents via
-    Fraction.limit_denominator give the optimal approximation.
+    ``ratlin.limit_denominator`` give the optimal approximation.
     """
     if denominator_bound < 1:
         raise ValueError("denominator bound must be positive")
@@ -56,7 +56,7 @@ def round_to_rational(matrix, denominator_bound: int):
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = sym[i][j].limit_denominator(denominator_bound)
+            v = ratlin.limit_denominator(sym[i][j], denominator_bound)
             out[i][j] = v
             out[j][i] = v
     return out
@@ -307,7 +307,6 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
 def certificate_from_gram(
     system: GramSystem,
     q_matrices: Mapping,
-    *,
     variables,
     f: Polynomial,
     g: Polynomial,

@@ -171,12 +171,9 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
 
     Remove b whenever the monomial 2b is absent from the target support and
     is not b_i + b_j for any surviving pair other than (b, b).  Sound because
-    a PSD matrix with a forced zero diagonal entry has a zero row.  With
-    support=None nothing is pruned.
+    a PSD matrix with a forced zero diagonal entry has a zero row.
     """
     basis = list(candidates)
-    if support is None:
-        return tuple(basis)
     support = frozenset(support)
     while True:
         current = set(basis)

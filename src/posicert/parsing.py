@@ -233,13 +233,9 @@ def format_polynomial(p: Polynomial, variables: Optional[Sequence[str]] = None) 
     pieces = []
     for ev in sorted(p.terms, key=grlex_key, reverse=True):
         c = p.coefficient(ev)
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(variables, ev)
-            if e
-        )
+        mono = format_monomial(ev, variables)
         mag = abs(c)
-        if not mono:
+        if not any(ev):
             body = str(mag)
         elif mag == 1:
             body = mono

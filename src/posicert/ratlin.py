@@ -5,8 +5,8 @@ One kernel does all the elimination: `_eliminate` reduces sparse rows
 column, and `_back_substitute` solves the reduced rows for given values of
 the free columns.  `row_reduce` keeps the first, `nullspace` and
 `solve_dense` use both; a dense matrix (a list of Fraction lists) enters as
-sparse rows.  Everything here is exact; the sizes are desk scale (a few
-hundred rows at most).
+sparse rows.  `limit_denominator` is the one rationalizer.  Everything here
+is exact; the sizes are desk scale (a few hundred rows at most).
 """
 
 from __future__ import annotations
@@ -118,3 +118,29 @@ def solve_dense(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
     if len(independent) < n:
         raise ValueError("singular matrix")
     return _back_substitute(pivots, [Fraction(0)] * n)
+
+
+def limit_denominator(x, max_denominator: int) -> Fraction:
+    """``Fraction(x).limit_denominator(max_denominator)`` for a float or a
+    Fraction x, built without its intermediate Fractions: the same
+    continued-fraction walk over the exact value ``x.as_integer_ratio()``,
+    and the same choice between the last convergent and the best
+    semiconvergent (the convergent on a tie), made by cross-multiplication.
+    """
+    num, den = x.as_integer_ratio()
+    if den <= max_denominator:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_denominator - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p, q)

@@ -1,5 +1,6 @@
 """Command line interface and exit codes."""
 
+import dataclasses
 import pathlib
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from posicert import cli, driver, sdp
 from posicert.exact import format_certificate, lift_certificate, parse_certificate
-from posicert.parsing import MAX_DEGREE
+from posicert.parsing import MAX_DEGREE, parse_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 
@@ -105,6 +106,72 @@ def test_dump_sdp_is_the_face_the_search_solves(capsys):
     # they cut out, 5 generators, not the full basis of 9
     assert cli.main(["dump-sdp", str(PROBLEMS / "motzkin.txt"), "--n", "1"]) == 0
     assert "\nblocks 5\n" in capsys.readouterr().out
+
+
+CHECK_SOS_WITH_H = 'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["x*y"]\nmode = check-sos\n'
+ZERO_H_MARGIN = 'vars = x, y\nf = "x^2 + y^2"\nh_margin = "0"\nmode = epsilon-margin\n'
+SEARCHES = {
+    "certify": driver.certify,
+    "check-sos": driver.certify,
+    "odd-power": driver.odd_power,
+    "epsilon-margin": driver.epsilon_margin,
+}
+
+
+def _problem_file(tmp_path, name):
+    if name.endswith(".txt"):
+        return PROBLEMS / name
+    path = tmp_path / "problem.txt"
+    path.write_text({"check_sos_with_h": CHECK_SOS_WITH_H, "zero_h_margin": ZERO_H_MARGIN}[name])
+    return path
+
+
+def _first_searched_dump(monkeypatch, spec, exponent):
+    """The format_debug_dump of the first SdpProblem the mode's search passes
+    to sdp.solve at the scan exponent.  Every solve is stubbed margin
+    negative, so the scan goes on to the exponent and solves once at each."""
+    solved = []
+
+    def stub(problem, *args, **kwargs):
+        solved.append(problem)
+        return sdp.SdpSolution(sdp.MARGIN_NEGATIVE, -1.0, [], None, [], 0.0, 0)
+
+    monkeypatch.setattr(driver.sdp, "solve", stub)
+    bound = dict(m_max=exponent) if spec.mode == "odd-power" else dict(n_max=exponent)
+    report = SEARCHES[spec.mode](dataclasses.replace(spec, **bound))
+    last = report.records[-1]
+    assert (last.exponent, last.status) == (exponent, driver.MARGIN_NEGATIVE)
+    return sdp.format_debug_dump(solved[-1])
+
+
+@pytest.mark.parametrize(
+    "name, exponent",
+    [
+        ("constrained_example.txt", 0),
+        ("constrained_example.txt", 1),
+        ("check_sos_with_h", 0),
+        ("stengle.txt", 1),
+        ("stengle.txt", 3),
+        ("epsilon_example.txt", 0),
+        ("epsilon_example.txt", 1),
+    ],
+)
+def test_dump_sdp_is_the_first_sdp_the_search_solves(name, exponent, tmp_path, monkeypatch, capsys):
+    problem = _problem_file(tmp_path, name)
+    assert cli.main(["dump-sdp", str(problem), "--n", str(exponent)]) == 0
+    dump = capsys.readouterr().out
+    assert dump == _first_searched_dump(monkeypatch, parse_problem(problem.read_text()), exponent)
+    if name == "check_sos_with_h":
+        assert "\nblocks 1\n" in dump  # one block: check-sos drops h
+
+
+@pytest.mark.parametrize(
+    "name, exponent",
+    [("check_sos_with_h", 1), ("stengle.txt", 0), ("stengle.txt", 2), ("zero_h_margin", 0)],
+)
+def test_dump_sdp_refuses_an_exponent_the_mode_never_scans(name, exponent, tmp_path, capsys):
+    assert cli.main(["dump-sdp", str(_problem_file(tmp_path, name)), "--n", str(exponent)]) == 3
+    assert "input error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -293,9 +293,12 @@ class TestPrecheck:
         draws = random.Random(3)
         values = [draws.gauss(0.0, 1.0) for _ in range(2000)]
         values += [0.0, -0.0, 0.5, -2.5e-5, 5e-5, 1 / 3, 1e-300, -1e300, 5e-324, 2.0**52 + 0.5]
-        for bound in (1, 2, 7, 10**4):
+        # round_to_rational's inputs: averages of two floats, exact Fractions
+        values += [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(values[:1000], values[1000:2000])]
+        values += [Fraction(1, 3), Fraction(-7, 2), Fraction(10**30 + 1, 10**30), Fraction(0)]
+        for bound in (1, 2, 7, 10**4, 10**12):
             for x in values:
-                assert driver._limit_denominator(x, bound) == Fraction(x).limit_denominator(bound)
+                assert ratlin.limit_denominator(x, bound) == Fraction(x).limit_denominator(bound)
 
 
 def _reference_precheck(spec, samples, seed):
@@ -533,9 +536,7 @@ class TestKernelRestriction:
         calls = []
         solve = sdp.solve
         monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
-        record, cert = driver._attempt(
-            stengle.f**3, one, (), stengle.grading, stengle.variables, 0, driver.SearchOptions()
-        )
+        record, cert = driver._attempt(stengle, 3, driver.SearchOptions())
         assert cert is None and record.status == driver.BORDERLINE
         assert record.rounding_attempts == 1
         assert len(calls) == 1
@@ -575,10 +576,9 @@ def _stub_solution(status, t_star):
 def test_face_solve_without_a_margin_is_recorded_as_it_ends(monkeypatch, status, t_star):
     # Motzkin at n = 1 is solved on its face; the one solve, stubbed to end
     # with `status`, leaves nothing to round
-    f = parse_polynomial(MOTZKIN, XYZ)
-    g = parse_polynomial(G_XYZ, XYZ)
+    spec = make_spec(MOTZKIN, XYZ, g=parse_polynomial(G_XYZ, XYZ))
     monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(status, t_star))
-    record, cert = driver._attempt(f, g, (), Grading.single(3), tuple(XYZ), 1, driver.SearchOptions())
+    record, cert = driver._attempt(spec, 1, driver.SearchOptions())
     assert cert is None
     assert (record.status, record.t_star) == (status, t_star)
     assert record.note == "face-restricted at 12 zeros, block sizes 9 -> 5"
@@ -586,11 +586,10 @@ def test_face_solve_without_a_margin_is_recorded_as_it_ends(monkeypatch, status,
 
 
 def test_face_solve_numerical_failure_propagates(monkeypatch):
-    f = parse_polynomial(MOTZKIN, XYZ)
-    g = parse_polynomial(G_XYZ, XYZ)
+    spec = make_spec(MOTZKIN, XYZ, g=parse_polynomial(G_XYZ, XYZ))
     monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(sdp.NUMERICAL_FAILURE, float("nan")))
     with pytest.raises(driver.NumericalFailureError):
-        driver._attempt(f, g, (), Grading.single(3), tuple(XYZ), 1, driver.SearchOptions())
+        driver._attempt(spec, 1, driver.SearchOptions())
 
 
 def test_monotonicity_lift_through_driver():

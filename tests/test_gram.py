@@ -52,9 +52,6 @@ class TestMonomialBasis:
         system = build_gram_system(f, Polynomial.one(1), 0, (), Grading.single(1))
         assert isinstance(system, ParityInfeasible)
 
-    def test_no_pruning_keeps_candidates(self):
-        assert prune_basis(monomials_up_to(1, 2), None) == ((0,), (1,), (2,))
-
 
 def test_prune_basis_fixpoint_is_stable():
     support = frozenset({(4, 2, 0), (2, 4, 0), (0, 0, 6), (2, 2, 2)})
