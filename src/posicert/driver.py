@@ -579,7 +579,8 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     total = 0
     points = _sample_points(n, samples, graded, seed)
     while negative is None and (batch := list(islice(points, _PRECHECK_BATCH))):
-        xf = np.array(batch, dtype=float)
+        # n / d is the correctly rounded double of n/d, without numbers.Rational.__float__'s detour
+        xf = np.array([[v.numerator / v.denominator for v in point] for point in batch], dtype=float)
         feasible = xf.any(axis=1)
         for i in np.flatnonzero(~feasible):  # exactly the origin, unless coordinates underflowed
             feasible[i] = any(batch[i])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import isfinite, lcm
 from typing import Mapping, Optional, Sequence
 
 from .gram import GramSystem
@@ -113,25 +113,37 @@ def exact_ldlt(matrix: Sequence[Sequence[Fraction]]):
 
     A zero pivot requires its whole remaining column to vanish; a negative
     pivot or a violated zero-pivot column proves indefiniteness.
+
+    Fraction-free symmetric elimination (Bareiss) on the lower triangle of
+    Q scaled to integers A = s*Q: after the pivots J taken so far, entry
+    (i, l) of the working matrix is det A[J+i, J+l], the Schur complement
+    of Q times s^|J| * det Q[J, J], so the previous pivot divides each
+    update exactly.  A zero pivot's column is zero and is skipped.  Then
+    L_ij = a_ij / a_jj and D_jj = a_jj / (s * previous pivot).
     """
     n = len(matrix)
-    q = [[Fraction(v) for v in row] for row in matrix]
+    q = [[Fraction(matrix[i][j]) for j in range(i + 1)] for i in range(n)]
+    scale = lcm(*(v.denominator for row in q for v in row))
+    a = [[v.numerator * (scale // v.denominator) for v in row] for row in q]
     lower = [[Fraction(0)] * n for _ in range(n)]
     diag = [Fraction(0)] * n
+    previous = 1
     for j in range(n):
-        pivot = q[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        pivot = a[j][j]
         if pivot < 0:
             return None
         lower[j][j] = Fraction(1)
-        diag[j] = pivot
+        if pivot == 0:
+            if any(a[i][j] for i in range(j + 1, n)):
+                return None
+            continue
+        diag[j] = Fraction(pivot, previous * scale)
         for i in range(j + 1, n):
-            off = q[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
-            if pivot == 0:
-                if off != 0:
-                    return None
-                lower[i][j] = Fraction(0)
-            else:
-                lower[i][j] = off / pivot
+            row, a_ij = a[i], a[i][j]
+            lower[i][j] = Fraction(a_ij, pivot)
+            for l in range(j + 1, i + 1):
+                row[l] = (pivot * row[l] - a_ij * a[l][j]) // previous
+        previous = pivot
     return lower, diag
 
 
@@ -146,24 +158,23 @@ def combine_squares(lower, diag, generators: Sequence[Polynomial]):
 
     Each square p is scaled by s > 0 to coprime integer coefficients and its
     weight divided by s^2, so w*p^2 is unchanged and exact arithmetic on the
-    certificate runs on small integers.
+    certificate runs on small integers.  The square is summed from its
+    column's integers: column j of L over its common denominator.
     """
     n = len(diag)
     out = []
     for j in range(n):
         if diag[j] == 0:
             continue
+        column = [lower[i][j] for i in range(j, n)]
+        den = lcm(*(c.denominator for c in column))
         p = Polynomial.zero(generators[0].n_vars)
-        for i in range(j, n):
-            if lower[i][j]:
-                p = p + lower[i][j] * generators[i]
+        for c, gen in zip(column, generators[j:]):
+            if c:
+                p = p + c.numerator * (den // c.denominator) * gen
         if not p.is_zero():
-            coefficients = p.terms.values()
-            scale = Fraction(
-                lcm(*(c.denominator for c in coefficients)),
-                gcd(*(c.numerator for c in coefficients)),
-            )
-            out.append(SquareTerm(weight=Fraction(diag[j]) / (scale * scale), poly=p * scale))
+            content, square = p.primitive()
+            out.append(SquareTerm(weight=Fraction(diag[j]) * (content / den) ** 2, poly=square))
     return tuple(out)
 
 
@@ -236,7 +247,7 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
                     False,
                     f"nonpositive weight {square.weight} in block e={block.product_index}, square {k}",
                 )
-            if not set(square.poly.terms) <= basis_set:
+            if not square.poly.support() <= basis_set:
                 return VerifyResult(
                     False,
                     f"square {k} in block e={block.product_index} leaves the declared basis",
@@ -324,7 +335,7 @@ def certificate_from_gram(
             return None
         lower, diag = factored
         squares = combine_squares(lower, diag, system.blocks[b_idx].generators)
-        support = sorted({ev for sq in squares for ev in sq.poly.terms}, key=grlex_key)
+        support = sorted({ev for sq in squares for ev in sq.poly.support()}, key=grlex_key)
         cert_blocks.append(
             CertificateBlock(
                 product_index=system.blocks[b_idx].product_index,
@@ -356,7 +367,7 @@ def lift_certificate(cert: Certificate) -> Certificate:
         squares = tuple(
             SquareTerm(weight=sq.weight, poly=sq.poly * cert.g) for sq in block.squares
         )
-        support = sorted({ev for sq in squares for ev in sq.poly.terms}, key=grlex_key)
+        support = sorted({ev for sq in squares for ev in sq.poly.support()}, key=grlex_key)
         lifted_blocks.append(
             CertificateBlock(product_index=block.product_index, basis=tuple(support), squares=squares)
         )

@@ -206,15 +206,16 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
 def _assemble(target: Polynomial, grading: Grading, blocks, face: tuple = ()):
     """Shared core: match every achievable monomial, check support, reduce.
 
-    Each unknown's product writes its coefficients straight into the rows of
-    the monomials it reaches, doubled off the diagonal.
+    Each unknown's product gen_i * m_e * gen_j, with gen_i * m_e formed once
+    per generator, writes its coefficients straight into the rows of the
+    monomials it reaches, doubled off the diagonal.
     """
     dims = [len(block.generators) for block in blocks]
     layout = tuple((b, i, j) for b, d in enumerate(dims) for i in range(d) for j in range(i, d))
+    scaled = [[gen * block.multiplier for gen in block.generators] for block in blocks]
     by_monomial = {}
     for k, (b, i, j) in enumerate(layout):
-        gens = blocks[b].generators
-        for ev, c in (gens[i] * gens[j] * blocks[b].multiplier).terms.items():
+        for ev, c in (scaled[b][i] * blocks[b].generators[j]).terms.items():
             by_monomial.setdefault(ev, {})[k] = c if i == j else 2 * c
 
     for ev in target.terms:

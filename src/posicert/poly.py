@@ -1,16 +1,20 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 A polynomial is a map from exponent vectors (one slot per variable) to
-nonzero ``Fraction`` coefficients.  Instances are immutable and hashable;
-all arithmetic is exact.  A float view of the coefficients is derived on
-demand for the numeric layers, never stored.
+nonzero rational coefficients, held as integer numerators over one positive
+common denominator in lowest terms: the ring operations run in integers and
+bring each result to lowest terms with one gcd pass.  Instances are
+immutable and hashable; all arithmetic is exact.  The ``Fraction`` view of
+the coefficients is built when first read and cached; a float view is
+derived on demand for the numeric layers, never stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -56,9 +60,15 @@ class Grading:
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("_n_vars", "_terms", "_hash", "_integer_form")
+    The coefficient of x^e is ``_num[e] / _den``: ``_num`` maps each exponent
+    vector of the support to a nonzero integer, ``_den`` is a positive
+    integer, and gcd(_den, *_num.values()) == 1, so equal polynomials have
+    equal representations.
+    """
+
+    __slots__ = ("_n_vars", "_num", "_den", "_hash", "_terms")
 
     def __init__(self, n_vars: int, terms: Mapping = ()):
         if n_vars <= 0:
@@ -78,10 +88,13 @@ class Polynomial:
                     clean[ev] = c
                 elif ev in clean:
                     del clean[ev]
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
         self._n_vars = n_vars
-        self._terms = clean
+        self._num = {ev: c.numerator * (den // c.denominator) for ev, c in clean.items()}
+        self._den = den
         self._hash = None
-        self._integer_form = None
+        self._terms = clean
 
     # -- constructors -------------------------------------------------
 
@@ -114,19 +127,33 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping:
+        """Exponent vector -> nonzero Fraction coefficient; the Fractions are
+        built on first read and cached."""
+        if self._terms is None:
+            den = self._den
+            self._terms = {ev: Fraction(c) if den == 1 else Fraction(c, den) for ev, c in self._num.items()}
         return MappingProxyType(self._terms)
 
     def coefficient(self, exponents) -> Fraction:
-        return self._terms.get(tuple(exponents), Fraction(0))
+        return self.terms.get(tuple(exponents), Fraction(0))
 
     def support(self) -> frozenset:
-        return frozenset(self._terms)
+        return frozenset(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
+
+    def primitive(self):
+        """(c, p) with self == c * p, c a positive Fraction and p with coprime
+        integer coefficients; (0, self) for the zero polynomial."""
+        if not self._num:
+            return Fraction(0), self
+        content = gcd(*self._num.values())
+        num = {ev: c // content for ev, c in self._num.items()}
+        return Fraction(content, self._den), self._raw(self._n_vars, num, 1)
 
     # -- ring operations ----------------------------------------------
 
@@ -134,55 +161,58 @@ class Polynomial:
         if self._n_vars != other._n_vars:
             raise ValueError(f"variable count mismatch: {self._n_vars} vs {other._n_vars}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        # self + sign*other over the least common denominator
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self._n_vars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self._terms)
-        for ev, c in other._terms.items():
-            s = terms.get(ev, Fraction(0)) + c
-            if s:
-                terms[ev] = s
-            elif ev in terms:
-                del terms[ev]
-        return self._raw(self._n_vars, terms)
+        g = gcd(self._den, other._den)
+        s, t = other._den // g, sign * (self._den // g)
+        num = {ev: c * s for ev, c in self._num.items()} if s != 1 else dict(self._num)
+        for ev, c in other._num.items():
+            c = num.get(ev, 0) + c * t
+            if c:
+                num[ev] = c
+            elif ev in num:
+                del num[ev]
+        return self._reduced(self._n_vars, num, self._den * s)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self._n_vars, {ev: -c for ev, c in self._terms.items()})
+        return self._raw(self._n_vars, {ev: -c for ev, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self._n_vars, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Polynomial.zero(self._n_vars)
-            return self._raw(self._n_vars, {ev: c * v for ev, v in self._terms.items()})
+            num = {ev: c * other.numerator for ev, c in self._num.items()}
+            return self._reduced(self._n_vars, num, self._den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        terms = {}
-        for ev1, c1 in self._terms.items():
-            for ev2, c2 in other._terms.items():
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                s = terms.get(ev, Fraction(0)) + c1 * c2
-                if s:
-                    terms[ev] = s
-                elif ev in terms:
-                    del terms[ev]
-        return self._raw(self._n_vars, terms)
+        num = {}
+        right = other._num.items()
+        for ev1, c1 in self._num.items():
+            for ev2, c2 in right:
+                ev = tuple(map(add, ev1, ev2))
+                c = num.get(ev, 0) + c1 * c2
+                if c:
+                    num[ev] = c
+                elif ev in num:
+                    del num[ev]
+        return self._reduced(self._n_vars, num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -204,20 +234,20 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Maximum total degree.  Undefined (raises) for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(ev) for ev in self._terms)
+        return max(map(sum, self._num))
 
     def multidegree(self, grading: Grading):
         """Common per-block degree vector, or None if not graded.
 
         Raises for the zero polynomial, whose degree is undefined.
         """
-        if not self._terms:
+        if not self._num:
             raise ValueError("degree of the zero polynomial is undefined")
         if grading.n_vars != self._n_vars:
             raise ValueError("grading does not match variable count")
-        degs = {grading.degrees(ev) for ev in self._terms}
+        degs = {grading.degrees(ev) for ev in self._num}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -225,55 +255,38 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point.
 
-        Computed in integers: the coefficients are scaled once to integers
-        ``C`` over their common denominator ``D`` (kept in a cache), the point
-        is put over one common denominator ``d`` as integers ``a``, and the
-        value is ``sum C * prod a_i^e_i * d^(deg - |e|)`` over ``D * d^deg``,
-        a single ``Fraction`` built at the end.
+        Computed in integers: the point is put over one common denominator
+        ``d`` as integers ``a``, and the value is ``sum N_e * prod a_i^e_i *
+        d^(deg - |e|)`` over ``D * d^deg``, with N_e / D the coefficients, a
+        single ``Fraction`` built at the end.
         """
         if len(point) != self._n_vars:
             raise ValueError(f"point has length {len(point)}, expected {self._n_vars}")
-        if self._integer_form is None:
-            self._integer_form = self._scale_to_integers()
-        degree, denominator, terms = self._integer_form
+        degree = max(map(sum, self._num), default=0)
         values = [Fraction(v) for v in point]
         d = lcm(*(v.denominator for v in values))
         scaled = [v.numerator * (d // v.denominator) for v in values]
         powers = [[a**k for k in range(degree + 1)] for a in scaled]
         d_powers = [d**k for k in range(degree + 1)]
         total = 0
-        for c, deficit, factors in terms:
-            term = c * d_powers[deficit]
-            for i, e in factors:
-                term *= powers[i][e]
+        for ev, c in self._num.items():
+            term = c * d_powers[degree - sum(ev)]
+            for a_powers, e in zip(powers, ev):
+                if e:
+                    term *= a_powers[e]
             total += term
-        return Fraction(total, denominator * d_powers[degree])
-
-    def _scale_to_integers(self):
-        # (degree, D, terms): one term (C, degree - |e|, ((i, e_i) for e_i > 0))
-        # per monomial x^e, with C = c*D an integer
-        degree = max((sum(ev) for ev in self._terms), default=0)
-        denominator = lcm(*(c.denominator for c in self._terms.values()))
-        terms = tuple(
-            (
-                c.numerator * (denominator // c.denominator),
-                degree - sum(ev),
-                tuple((i, e) for i, e in enumerate(ev) if e),
-            )
-            for ev, c in self._terms.items()
-        )
-        return degree, denominator, terms
+        return Fraction(total, self._den * d_powers[degree])
 
     # -- equality / hashing -------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._n_vars == other._n_vars and self._terms == other._terms
+        return self._n_vars == other._n_vars and self._den == other._den and self._num == other._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._n_vars, frozenset(self._terms.items())))
+            self._hash = hash((self._n_vars, self._den, frozenset(self._num.items())))
         return self._hash
 
     def __repr__(self):
@@ -289,14 +302,25 @@ class Polynomial:
     # -- internals ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, n_vars: int, terms: dict) -> "Polynomial":
-        # terms must already be normalized (tuple keys, nonzero Fractions)
+    def _raw(cls, n_vars: int, num: dict, den: int) -> "Polynomial":
+        # num and den must already be normalized (see the class docstring)
         p = cls.__new__(cls)
         p._n_vars = n_vars
-        p._terms = terms
+        p._num = num
+        p._den = den
         p._hash = None
-        p._integer_form = None
+        p._terms = None
         return p
+
+    @classmethod
+    def _reduced(cls, n_vars: int, num: dict, den: int) -> "Polynomial":
+        # nonzero integer numerators over a positive den: one gcd pass to lowest terms
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                num = {ev: c // g for ev, c in num.items()}
+                den //= g
+        return cls._raw(n_vars, num, den)
 
 
 def sum_of_squared_variables(n_vars: int) -> Polynomial:

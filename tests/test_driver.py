@@ -1,6 +1,7 @@
 """Search orchestration: scans, precheck, epsilon mode, determinism."""
 
 import dataclasses
+import hashlib
 import itertools
 import pathlib
 import random
@@ -19,7 +20,7 @@ from posicert.driver import (
     positivity_precheck,
     system_to_sdp,
 )
-from posicert.exact import lift_certificate, verify_certificate
+from posicert.exact import format_certificate, lift_certificate, verify_certificate
 from posicert.gram import GramSystem, build_gram_system, build_reduced_system, monomials_up_to
 from posicert.parsing import parse_polynomial, parse_problem
 from posicert.poly import Grading, Polynomial, sum_of_squared_variables
@@ -666,3 +667,30 @@ def test_numerical_failure_propagates(monkeypatch):
     monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(sdp.NUMERICAL_FAILURE, float("nan")))
     with pytest.raises(driver.NumericalFailureError):
         certify(spec)
+
+
+# SHA-256 of format_certificate for fast runs, taken before exact arithmetic
+# moved from per-term Fractions to integers over one denominator: any change
+# to the arithmetic that moves a byte of a certificate fails here
+PINNED_CERTIFICATES = {
+    "motzkin_g_check_sos": (
+        'vars = x, y, z\nf = "(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2)*(x^2 + y^2 + z^2)"\nmode = check-sos\n',
+        "e2bed1ff3c9c8f996c320ddb48a3f8dcde4edb6923bd40775c9e4f570a1ea6eb",
+    ),
+    "perturbed_motzkin.txt": (None, "c185be022c556d8b6932b5563ea5ae62b227568dc99bccde3c6ed1798294e1d0"),
+    "constrained_example.txt": (None, "dfe27d7f671327c9504912c56e25c8dfe129377b460811dc1b84b5b7e28d750d"),
+    "odd_power_m1": (
+        'vars = x, y\nf = "x^4 + y^4 + x^2*y^2 - x*y^3"\nmode = odd-power\nm_max = 1\n',
+        "2f70ba3f0e87e2561832c72a6f025067aef22d088cb9fbeac18f8f569069bbb1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CERTIFICATES)
+def test_certificate_bytes_are_pinned(name):
+    text, digest = PINNED_CERTIFICATES[name]
+    spec = parse_problem(text if text is not None else (PROBLEMS / name).read_text())
+    report = (odd_power if spec.mode == "odd-power" else certify)(spec)
+    assert report.outcome == driver.OUTCOME_CERTIFICATE
+    assert verify_certificate(report.certificate).valid
+    assert hashlib.sha256(format_certificate(report.certificate).encode()).hexdigest() == digest

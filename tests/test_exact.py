@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posicert import ratlin
 from posicert.exact import (
@@ -297,6 +299,134 @@ class TestExtractSos:
             for j in range(3):
                 expected = expected + q[i][j] * basis[i] * basis[j]
         assert total == expected
+
+
+# ---------------------------------------------------------------------------
+# fraction-free LDL' against the Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def reference_ldlt(matrix):
+    # left-looking Fraction LDL', the routine the fraction-free one replaced
+    n = len(matrix)
+    q = [[Fraction(v) for v in row] for row in matrix]
+    lower = [[Fraction(0)] * n for _ in range(n)]
+    diag = [Fraction(0)] * n
+    for j in range(n):
+        pivot = q[j][j] - sum(lower[j][k] * lower[j][k] * diag[k] for k in range(j))
+        if pivot < 0:
+            return None
+        lower[j][j] = Fraction(1)
+        diag[j] = pivot
+        for i in range(j + 1, n):
+            off = q[i][j] - sum(lower[i][k] * lower[j][k] * diag[k] for k in range(j))
+            if pivot == 0:
+                if off != 0:
+                    return None
+                lower[i][j] = Fraction(0)
+            else:
+                lower[i][j] = off / pivot
+    return lower, diag
+
+
+def reference_squares(lower, diag, generators):
+    # (weight, coefficient dict) per square, in Fraction-dict arithmetic
+    out = []
+    for j in range(len(diag)):
+        if diag[j] == 0:
+            continue
+        p = {}
+        for i in range(j, len(diag)):
+            for ev, c in generators[i].items():
+                p[ev] = p.get(ev, Fraction(0)) + lower[i][j] * c
+        p = {ev: c for ev, c in p.items() if c}
+        if p:
+            scale = Fraction(
+                math.lcm(*(c.denominator for c in p.values())), math.gcd(*(c.numerator for c in p.values()))
+            )
+            out.append((diag[j] / scale**2, {ev: c * scale for ev, c in p.items()}))
+    return out
+
+
+entries = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def psd_matrices(draw, max_n=6):
+    # sum of r rank-one terms v v' with some coordinates forced to zero:
+    # PSD of rank at most r, with zero pivots and zero rows
+    n = draw(st.integers(1, max_n))
+    rank = draw(st.integers(0, n))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(rank):
+        v = [Fraction(0) if i in zero else draw(entries) for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                q[i][j] += v[i] * v[j]
+    return q
+
+
+def assert_same_ldlt(q):
+    got, expected = exact_ldlt(q), reference_ldlt(q)
+    assert got == expected
+    if got is not None:
+        assert all(type(v) is Fraction for row in got[0] for v in row)
+        assert all(type(v) is Fraction for v in got[1])
+
+
+@given(psd_matrices())
+@settings(max_examples=200)
+def test_ldlt_matches_reference_on_psd_of_random_rank(q):
+    assert exact_ldlt(q) is not None
+    assert_same_ldlt(q)
+
+
+@given(psd_matrices(), st.data())
+@settings(max_examples=200)
+def test_ldlt_matches_reference_on_perturbed_matrices(q, data):
+    n = len(q)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        delta = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=50))
+        q[i][j] += delta
+        if i != j:
+            q[j][i] += delta
+    assert_same_ldlt(q)
+
+
+@given(psd_matrices(max_n=5), st.data())
+@settings(max_examples=200)
+def test_ldlt_rejects_a_zero_pivot_with_a_nonzero_column(q, data):
+    n = len(q) + 1
+    k = data.draw(st.integers(0, n - 2))
+    l = data.draw(st.integers(k + 1, n - 1))
+    # row and column k of a PSD matrix grown by one index are zero but for (k, l)
+    grown = [[Fraction(0)] * n for _ in range(n)]
+    old = [i for i in range(n) if i != k]
+    for a, i in enumerate(old):
+        for b, j in enumerate(old):
+            grown[i][j] = q[a][b]
+    c = data.draw(entries.filter(bool))
+    grown[k][l] = grown[l][k] = c
+    assert exact_ldlt(grown) is None
+    assert_same_ldlt(grown)
+
+
+@given(psd_matrices(), st.data())
+@settings(max_examples=100)
+def test_squares_match_reference(q, data):
+    n = len(q)
+    monomial = [(i, n - i) for i in range(n)]
+    faced = data.draw(st.booleans())
+    generators = [
+        {ev: data.draw(entries.filter(bool)) for ev in monomial[i:i + 2]} if faced else {monomial[i]: Fraction(1)}
+        for i in range(n)
+    ]
+    lower, diag = exact_ldlt(q)
+    squares = combine_squares(lower, diag, [Polynomial(2, gen) for gen in generators])
+    assert [(sq.weight, dict(sq.poly.terms)) for sq in squares] == reference_squares(lower, diag, generators)
+    assert all(type(sq.weight) is Fraction for sq in squares)
 
 
 def trivial_certificate():

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: worked examples plus ring-axiom properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -227,11 +228,9 @@ def test_evaluate_matches_fraction_term_sum(data):
     )
     k = data.draw(st.integers(0, 3))
     point = data.draw(st.tuples(*([mixed_coordinates] * n)))
-    # __init__ builds p and q; +, -, * and ** go through _raw
+    # __init__ builds p and q; +, -, * and ** build their integer form directly
     for r in (p, q, p + q, p - q, -q, p * q, q * Fraction(-3, 7), q**k):
-        expected = reference_value(r, point)
-        assert r.evaluate(point) == expected
-        assert r.evaluate(point) == expected  # again, from the cached integer form
+        assert r.evaluate(point) == reference_value(r, point)
 
 
 @given(polynomials(n_vars=2, max_terms=3), polynomials(n_vars=2, max_terms=3))
@@ -244,3 +243,90 @@ def test_multidegree_additive_on_graded(p, q):
     if dp is None or dq is None:
         return
     assert (p * q).multidegree(g) == tuple(a + b for a, b in zip(dp, dq))
+
+
+# ---------------------------------------------------------------------------
+# integer representation against a Fraction-dict reference
+# ---------------------------------------------------------------------------
+
+
+def reference_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for ev, c in b.items():
+        out[ev] = out.get(ev, Fraction(0)) + sign * c
+    return {ev: c for ev, c in out.items() if c}
+
+
+def reference_pow(a: dict, k: int, n_vars: int) -> dict:
+    out = {(0,) * n_vars: Fraction(1)}
+    for _ in range(k):
+        out = brute_mul(out, a)
+    return out
+
+
+mixed_scalars = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=36),
+)
+
+
+@given(
+    polynomials(n_vars=2, max_terms=6),
+    polynomials(n_vars=2, max_terms=6),
+    mixed_scalars,
+    st.integers(0, 4),
+)
+@settings(max_examples=150)
+def test_ring_operations_match_fraction_reference(p, q, c, k):
+    a, b = dict(p.terms), dict(q.terms)
+    assert dict((p + q).terms) == reference_add(a, b)
+    assert dict((p - q).terms) == reference_add(a, b, -1)
+    assert dict((-q).terms) == {ev: -v for ev, v in b.items()}
+    assert dict((p * q).terms) == brute_mul(a, b)
+    assert dict((p * c).terms) == {ev: v * c for ev, v in a.items() if v * c}
+    assert dict((c * p).terms) == dict((p * c).terms)
+    assert dict((p + c).terms) == reference_add(a, {(0, 0): Fraction(c)})
+    assert dict((c - p).terms) == reference_add({(0, 0): Fraction(c)}, a, -1)
+    assert dict((q**k).terms) == reference_pow(b, k, 2)
+    for r in (p + q, p - q, p * q, p * c, q**k):
+        for ev, v in r.terms.items():
+            assert type(v) is Fraction and v != 0
+            assert r.coefficient(ev) == v
+        assert r.coefficient((50, 50)) == 0
+
+
+@given(polynomials(n_vars=2, max_terms=6), polynomials(n_vars=2, max_terms=6), mixed_scalars)
+@settings(max_examples=150)
+def test_equal_polynomials_compare_and_hash_equal(p, q, c):
+    same = [
+        (p * 3) * Fraction(1, 3),
+        p * Fraction(2, 7) * Fraction(7, 2),
+        p + q - q,
+        (p + q) + (-q),
+        Polynomial(2, dict(p.terms)),
+        Polynomial(2, [(ev, v) for ev, v in reversed(list(p.terms.items()))]),
+        -(-p),
+    ]
+    if c:
+        same.append(p * c * (1 / Fraction(c)))
+    for r in same:
+        assert r == p
+        assert hash(r) == hash(p)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    assert (p - p).is_zero() and p - p == Polynomial.zero(2)
+    assert hash(p - p) == hash(Polynomial.zero(2))
+    if not q.is_zero():
+        assert p + q != p
+
+
+@given(polynomials(n_vars=2, max_terms=6))
+@settings(max_examples=100)
+def test_primitive_is_coprime_integer_content(p):
+    content, square = p.primitive()
+    assert content * square == p
+    if p.is_zero():
+        assert content == 0
+        return
+    assert content > 0
+    assert all(v.denominator == 1 for v in square.terms.values())
+    assert math.gcd(*(v.numerator for v in square.terms.values())) == 1
