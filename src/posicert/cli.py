@@ -13,10 +13,11 @@ dump-sdp writes the first SDP the file's mode solves at scan exponent N: n
 
 Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
 invalid), 2 counterexample found, 3 input error (including a malformed
-command line, a polynomial text above the parser's degree cap, dump-sdp on
-f = 0 or at an exponent the mode never scans, an --out file that cannot be
-written, and a system whose dense SDP tensor exceeds
-driver.SDP_TENSOR_BYTES), 4 numerical failure.
+command line, a polynomial text above the parser's degree cap, a problem
+that breaks a ProblemSpec rule, from the file or from --n-max, --m-max or
+the subcommand's mode, dump-sdp on f = 0 or at an exponent the mode never
+scans, an --out file that cannot be written, and a system whose dense SDP
+tensor exceeds driver.SDP_TENSOR_BYTES), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -114,16 +115,12 @@ def _run_search(args, command: str) -> int:
         with open(args.problem, encoding="utf-8") as fh:
             spec = parse_problem(fh.read())
         if args.n_max is not None:
-            if args.n_max < 0:
-                raise ParseError("--n-max must be nonnegative")
             spec = replace(spec, n_max=args.n_max)
         if args.samples < 0:
             raise ParseError("--samples must be nonnegative")
         if not 0.0 < args.tol < 1.0:  # also rejects nan
             raise ParseError("--tol must be a finite number in (0, 1)")
         if command == "odd-power" and args.m_max is not None:
-            if args.m_max < 1 or args.m_max % 2 == 0:
-                raise ParseError("--m-max must be an odd positive integer")
             spec = replace(spec, m_max=args.m_max)
         spec = replace(spec, mode={"epsilon": "epsilon-margin"}.get(command, command))
         options = SearchOptions(
@@ -172,11 +169,7 @@ def _run_search(args, command: str) -> int:
         if not _write_out(args.out, format_certificate(report.certificate)):
             return EXIT_INPUT_ERROR
         print(f"certificate written to {args.out}")
-    if report.outcome == driver.OUTCOME_CERTIFICATE:
-        return EXIT_OK
-    if report.outcome == driver.OUTCOME_REJECTED:
-        return EXIT_INPUT_ERROR
-    return EXIT_NOT_FOUND
+    return EXIT_OK if report.outcome == driver.OUTCOME_CERTIFICATE else EXIT_NOT_FOUND
 
 
 def _run_verify(args) -> int:

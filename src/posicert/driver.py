@@ -64,7 +64,6 @@ MAX_ITERATIONS = sdp.MAX_ITERATIONS
 OUTCOME_CERTIFICATE = "certificate"
 OUTCOME_NOT_FOUND = "not_found"
 OUTCOME_UNKNOWN = "unknown"
-OUTCOME_REJECTED = "rejected"
 
 SDP_TENSOR_BYTES = 2**30  # budget of the dense (m, d, d) constraint tensors, in float64 bytes
 
@@ -195,8 +194,6 @@ def exponent_system(spec: ProblemSpec, exponent: int):
     identity.  An exponent the mode never scans raises ValueError.
     """
     if spec.mode == "epsilon-margin":
-        if spec.h_margin is None or spec.h_margin.is_zero():
-            raise ValueError("epsilon-margin mode requires a nonzero h_margin")
         one = Polynomial.one(len(spec.variables))
         system = build_gram_system(spec.f * spec.g ** (exponent + 1), one, 0, (), spec.grading)
         if not isinstance(system, GramSystem):
@@ -347,10 +344,9 @@ def certify(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Searc
 
 
 def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
-    """Scan odd powers m = 1, 3, ... of f for a plain sum-of-squares identity."""
+    """Scan odd powers m = 1, 3, ..., m_max of f for a plain sum-of-squares
+    identity; the spec guarantees that m_max is odd and positive."""
     options = options or SearchOptions()
-    if spec.m_max < 1 or spec.m_max % 2 == 0:
-        raise ValueError("m_max must be an odd positive integer")
     spec = replace(spec, mode="odd-power")
     return _scan(spec.mode, range(1, spec.m_max + 1, 2), spec.m_max, lambda m: (*_attempt(spec, m, options), None))
 
@@ -361,19 +357,11 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
     The optimal e of the numeric stage is shrunk by 3/4, rationalized, and
     then pushed through the ordinary exact pipeline; the best exactly
     certified (e, n) wins.  Smaller e stays representable because the freed
-    term e*g^n*h^2 is itself a sum of squares.
+    term e*g^n*h^2 is itself a sum of squares.  ProblemSpec refuses a
+    missing or zero h_margin, which would leave e unbounded.
     """
     options = options or SearchOptions()
     spec = replace(spec, mode="epsilon-margin")
-    if spec.h_margin is not None and spec.h_margin.is_zero():
-        return SearchReport(
-            mode=spec.mode,
-            records=[],
-            outcome=OUTCOME_REJECTED,
-            certificate=None,
-            bound=spec.n_max,
-            warnings=["h_margin is zero: the margin constraint is vacuous and epsilon unbounded"],
-        )
 
     def step(n):
         def no_certificate(status, t_star=None, note=""):
@@ -641,8 +629,6 @@ def render_report(report: SearchReport) -> str:
         lines.append(
             f"outcome: not found up to {exponent_name} = {report.bound} (numerical evidence only, not a nonexistence proof)"
         )
-    elif report.outcome == OUTCOME_REJECTED:
-        lines.append("outcome: rejected")
     else:
         lines.append(f"outcome: unknown (undecided at {exponent_name} in {report.unresolved})")
     return "\n".join(lines)

@@ -52,13 +52,11 @@ def round_to_rational(matrix, denominator_bound: int):
     if denominator_bound < 1:
         raise ValueError("denominator bound must be positive")
     n = len(matrix)
-    sym = [[(Fraction(float(matrix[i][j])) + Fraction(float(matrix[j][i]))) / 2 for j in range(n)] for i in range(n)]
     out = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            v = ratlin.limit_denominator(sym[i][j], denominator_bound)
-            out[i][j] = v
-            out[j][i] = v
+            average = (Fraction(float(matrix[i][j])) + Fraction(float(matrix[j][i]))) / 2
+            out[i][j] = out[j][i] = ratlin.limit_denominator(average, denominator_bound)
     return out
 
 

@@ -23,9 +23,9 @@ Problem documents are line oriented, ``key = value``, with ``#`` comments:
     g = "x^2 + y^2 + z^2"        # optional, default sum of squared vars
     h = ["x^2 - y^2"]            # optional constraint list
     mode = certify               # certify | check-sos | odd-power | epsilon-margin
-    n_max = 10
-    m_max = 7                    # odd-power mode only
-    h_margin = "x*y"             # epsilon-margin mode only
+    n_max = 10                   # nonnegative
+    m_max = 7                    # odd-power mode only, odd and positive
+    h_margin = "x*y"             # epsilon-margin mode only, required and nonzero there
     homogeneous = true
 
 Unknown keys are errors.  When ``vars`` is omitted the variables are
@@ -53,7 +53,8 @@ MAX_DEGREE = 20
 
 
 class ParseError(ValueError):
-    """Raised for any malformed polynomial or problem document."""
+    """Raised for any malformed polynomial or problem document, and for a
+    ProblemSpec that breaks one of its invariants however it is built."""
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,11 @@ def format_monomial(exponents, variables: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A certification task: polynomials, grading, mode and search limits."""
+    """A certification task: polynomials, grading, mode and search limits.
+
+    Valid by construction: however a spec is built (parse_problem,
+    dataclasses.replace, a direct call), __post_init__ checks its rules.
+    """
 
     variables: tuple
     grading: Grading
@@ -274,6 +279,20 @@ class ProblemSpec:
     n_max: int = 10
     m_max: int = 11
     h_margin: Optional[Polynomial] = None
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ParseError(f"mode: expected one of {MODES}, found {self.mode!r}")
+        if self.n_max < 0:
+            raise ParseError("n_max: must be nonnegative")
+        if self.m_max < 1 or self.m_max % 2 == 0:
+            raise ParseError("m_max: must be an odd positive integer")
+        if len(self.constraints) > MAX_CONSTRAINTS:
+            raise ParseError(f"h: at most {MAX_CONSTRAINTS} constraints supported, found {len(self.constraints)}")
+        if any(h.is_zero() for h in self.constraints):
+            raise ParseError("h: constraint polynomials must be nonzero")
+        if self.mode == "epsilon-margin" and (self.h_margin is None or self.h_margin.is_zero()):
+            raise ParseError("h_margin: required and nonzero in epsilon-margin mode (zero leaves epsilon unbounded)")
 
 
 def strip_comment(line: str) -> str:
@@ -413,7 +432,11 @@ def _parse_blocks(value: str, variables: Sequence[str]) -> Grading:
 
 
 def parse_problem(document: str) -> ProblemSpec:
-    """Parse a problem document, filling defaults and validating invariants."""
+    """Parse a problem document, filling defaults; ProblemSpec checks the spec.
+
+    The rules here are about the document's keys: m_max only in odd-power
+    mode, h_margin only in epsilon-margin mode, and ``homogeneous``.
+    """
     values = {}
     for key, value, line_no in read_key_values(document):
         if key not in _PROBLEM_KEYS:
@@ -445,32 +468,15 @@ def parse_problem(document: str) -> ProblemSpec:
     constraints = tuple(
         parse_polynomial_list(values.get("h", "[]"), variables, "h: expected a bracketed list of polynomial strings")
     )
-    if len(constraints) > MAX_CONSTRAINTS:
-        raise ParseError(f"h: at most {MAX_CONSTRAINTS} constraints supported, found {len(constraints)}")
-    if any(h.is_zero() for h in constraints):
-        raise ParseError("h: constraint polynomials must be nonzero")
 
     mode = values.get("mode", "check-sos").strip()
-    if mode not in MODES:
-        raise ParseError(f"mode: expected one of {MODES}, found {mode!r}")
-
-    n_max = _parse_int(values["n_max"], "n_max") if "n_max" in values else 10
-    if n_max < 0:
-        raise ParseError("n_max: must be nonnegative")
-
     if "m_max" in values and mode != "odd-power":
         raise ParseError("m_max: only valid in odd-power mode")
-    m_max = _parse_int(values["m_max"], "m_max") if "m_max" in values else 11
-    if m_max < 1 or m_max % 2 == 0:
-        raise ParseError("m_max: must be an odd positive integer")
+    limits = {key: _parse_int(values[key], key) for key in ("n_max", "m_max") if key in values}
 
     if "h_margin" in values and mode != "epsilon-margin":
         raise ParseError("h_margin: only valid in epsilon-margin mode")
-    h_margin = None
-    if mode == "epsilon-margin":
-        if "h_margin" not in values:
-            raise ParseError("h_margin: required in epsilon-margin mode")
-        h_margin = parse_polynomial(_unquote(values["h_margin"]), variables)
+    h_margin = parse_polynomial(_unquote(values["h_margin"]), variables) if "h_margin" in values else None
 
     homogeneous = _parse_bool(values["homogeneous"], "homogeneous") if "homogeneous" in values else False
     if homogeneous:
@@ -494,7 +500,6 @@ def parse_problem(document: str) -> ProblemSpec:
         g=g,
         constraints=constraints,
         mode=mode,
-        n_max=n_max,
-        m_max=m_max,
         h_margin=h_margin,
+        **limits,
     )

@@ -396,9 +396,19 @@ def test_zero_h_margin_is_rejected(tmp_path, capsys):
     problem = tmp_path / "eps0.txt"
     problem.write_text('vars = x, y\nf = "x^2 + y^2"\ng = "x^2 + y^2"\nh_margin = "0"\nmode = epsilon-margin\n')
     assert cli.main(["epsilon", str(problem)]) == 3
-    out = capsys.readouterr().out
-    assert "warning: h_margin is zero: " in out
-    assert "outcome: rejected" in out
+    captured = capsys.readouterr()
+    assert "input error: h_margin" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]])
+def test_epsilon_without_h_margin_is_refused_before_the_precheck(force, monkeypatch, capsys):
+    # motzkin.txt has no h_margin; its zeros would stop the precheck with exit 2
+    monkeypatch.setattr(cli, "positivity_precheck", None)  # any sampling would raise
+    assert cli.main(["epsilon", str(PROBLEMS / "motzkin.txt"), *force]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: h_margin: required")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("limit, ladder", [(1000, (100, 1000)), (50, (50,)), (10**4, (100, 10**4))])

@@ -22,7 +22,7 @@ from posicert.driver import (
 )
 from posicert.exact import format_certificate, lift_certificate, verify_certificate
 from posicert.gram import GramSystem, build_gram_system, build_reduced_system, monomials_up_to
-from posicert.parsing import parse_polynomial, parse_problem
+from posicert.parsing import ParseError, parse_polynomial, parse_problem
 from posicert.poly import Grading, Polynomial, sum_of_squared_variables
 
 XY = ["x", "y"]
@@ -157,6 +157,14 @@ class TestOddPower:
         assert verify_certificate(cert).valid
 
 
+@pytest.mark.parametrize("search", [certify, epsilon_margin])
+def test_negative_n_max_is_refused(search):
+    # the scans index their last exponent: a negative bound must not reach them
+    spec = parse_problem((PROBLEMS / "epsilon_example.txt").read_text())
+    with pytest.raises(ParseError, match="n_max"):
+        search(dataclasses.replace(spec, n_max=-1))
+
+
 class TestEpsilonMargin:
     def test_strictly_positive_form_gets_positive_margin(self):
         spec = make_spec(
@@ -173,16 +181,9 @@ class TestEpsilonMargin:
         assert verify_certificate(report.certificate).valid
 
     def test_zero_margin_polynomial_rejected(self):
-        spec = make_spec(
-            "x^2 + y^2",
-            XY,
-            mode="epsilon-margin",
-            h_margin=Polynomial.zero(2),
-            n_max=0,
-        )
-        report = epsilon_margin(spec)
-        assert report.outcome == "rejected"
-        assert any("unbounded" in w for w in report.warnings)
+        # a zero h_margin leaves epsilon unbounded: the spec itself is refused
+        with pytest.raises(ValueError, match="h_margin: .*unbounded"):
+            epsilon_margin(make_spec("x^2 + y^2", XY, mode="epsilon-margin", h_margin=Polynomial.zero(2), n_max=0))
 
     def test_each_system_is_row_reduced_once(self, monkeypatch):
         # n = 0, 1: one epsilon system and one certify system each

@@ -61,6 +61,27 @@ class TestRoundToRational:
         out = round_to_rational([[1.0, 0.30], [0.31, 1.0]], 1000)
         assert out[0][1] == out[1][0] == F(61, 200)
 
+    def test_matches_averaging_every_entry(self):
+        # reference: the exact average of all n^2 entry pairs, then each
+        # upper entry rationalized and mirrored
+        def reference(matrix, bound):
+            n = len(matrix)
+            sym = [[(F(float(matrix[i][j])) + F(float(matrix[j][i]))) / 2 for j in range(n)] for i in range(n)]
+            out = [[F(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    out[i][j] = out[j][i] = ratlin.limit_denominator(sym[i][j], bound)
+            return out
+
+        rng = np.random.default_rng(20)
+        for trial in range(200):
+            n = int(rng.integers(1, 9))
+            matrix = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4)
+            if trial % 2:
+                matrix = matrix + matrix.T  # symmetric inputs too
+            bound = 10 ** int(rng.integers(2, 13))
+            assert round_to_rational(matrix, bound) == reference(matrix, bound)
+
 
 def circle_system():
     f = parse_polynomial("x^2 + y^2", XY)

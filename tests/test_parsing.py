@@ -1,6 +1,8 @@
 """Grammar, canonical formatting, and problem-document parsing."""
 
+import dataclasses
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posicert import cli
 from posicert.parsing import (
     MAX_DEGREE,
     ParseError,
@@ -163,6 +166,41 @@ def test_parser_total_on_grammar_alphabet(text):
         pass
 
 
+VALID = 'vars = x, y\nf = "x^2 + y^2"\n'
+SEVENTEEN = [f"x^{k} + y" for k in range(1, 18)]
+ODD_M = "m_max: must be an odd positive integer"
+H_MARGIN = "h_margin: required and nonzero in epsilon-margin mode"
+
+# Each ProblemSpec rule: (how its message starts, naming the key; document
+# lines that break it; fields that break it in a valid spec; subcommand and
+# flags that break it on the command line, or None where no flag can)
+SPEC_RULES = {
+    "mode": ("mode: expected one of", "mode = bogus", dict(mode="bogus"), None),
+    "n_max": ("n_max: must be nonnegative", "n_max = -1", dict(n_max=-1), ["certify", "--n-max=-1"]),
+    "m_max_even": (ODD_M, "mode = odd-power\nm_max = 4", dict(m_max=4), ["odd-power", "--m-max=4"]),
+    "m_max_zero": (ODD_M, "mode = odd-power\nm_max = 0", dict(m_max=0), ["odd-power", "--m-max=0"]),
+    "h_count": (
+        "h: at most 16 constraints",
+        "h = [" + ", ".join(f'"{h}"' for h in SEVENTEEN) + "]",
+        dict(constraints=tuple(parse_polynomial(h, XY) for h in SEVENTEEN)),
+        None,
+    ),
+    "h_zero": (
+        "h: constraint polynomials must be nonzero",
+        'h = ["x^2", "0"]',
+        dict(constraints=(Polynomial.zero(2),)),
+        None,
+    ),
+    "h_margin_missing": (H_MARGIN, "mode = epsilon-margin", dict(mode="epsilon-margin"), ["epsilon"]),
+    "h_margin_zero": (
+        H_MARGIN,
+        'mode = epsilon-margin\nh_margin = "0"',
+        dict(mode="epsilon-margin", h_margin=Polynomial.zero(2)),
+        None,
+    ),
+}
+
+
 class TestParseProblem:
     def test_defaults_from_single_key(self):
         spec = parse_problem('f = "x^2 + y^2"')
@@ -233,14 +271,21 @@ class TestParseProblem:
         with pytest.raises(ParseError, match="m_max"):
             parse_problem('f = "x^2"\nm_max = 3')
 
-    def test_epsilon_mode_requires_h_margin(self):
-        with pytest.raises(ParseError, match="h_margin"):
-            parse_problem('f = "x^2"\nmode = epsilon-margin')
-
-    def test_too_many_constraints(self):
-        items = ", ".join(f'"x^{k} + y"' for k in range(1, 18))
-        with pytest.raises(ParseError, match="16"):
-            parse_problem(f'vars = x, y\nf = "x^2"\nh = [{items}]')
+    @pytest.mark.parametrize("rule", SPEC_RULES)
+    def test_spec_rule_is_refused_on_every_path(self, rule, tmp_path, capsys):
+        start, lines, fields, argv = SPEC_RULES[rule]
+        message = "^" + re.escape(start)
+        with pytest.raises(ParseError, match=message):
+            parse_problem(VALID + lines)
+        with pytest.raises(ParseError, match=message):
+            dataclasses.replace(parse_problem(VALID), **fields)
+        if argv is not None:
+            problem = tmp_path / "valid.txt"
+            problem.write_text(VALID)
+            assert cli.main([argv[0], str(problem), *argv[1:]]) == 3
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"input error: {start}")
+            assert captured.out == ""  # refused before the precheck
 
     def test_inferred_variable_order_is_first_appearance(self):
         spec = parse_problem('f = "y^2 + x^2 + z^2"')
