@@ -478,22 +478,7 @@ def parse_problem(document: str) -> ProblemSpec:
         raise ParseError("h_margin: only valid in epsilon-margin mode")
     h_margin = parse_polynomial(_unquote(values["h_margin"]), variables) if "h_margin" in values else None
 
-    homogeneous = _parse_bool(values["homogeneous"], "homogeneous") if "homogeneous" in values else False
-    if homogeneous:
-        if f.is_zero():
-            raise ParseError("f: zero polynomial has no degree, invalid under homogeneous = true")
-        if f.multidegree(grading) is None:
-            raise ParseError("f: not homogeneous w.r.t. the declared blocks")
-        if g.multidegree(grading) is None:
-            raise ParseError("g: not homogeneous w.r.t. the declared blocks")
-        for i, h in enumerate(constraints):
-            md = h.multidegree(grading)
-            if md is None:
-                raise ParseError(f"h[{i}]: not homogeneous w.r.t. the declared blocks")
-            if any(d % 2 for d in md):
-                raise ParseError(f"h[{i}]: per-block degree {md} must be even")
-
-    return ProblemSpec(
+    spec = ProblemSpec(
         variables=tuple(variables),
         grading=grading,
         f=f,
@@ -503,3 +488,19 @@ def parse_problem(document: str) -> ProblemSpec:
         h_margin=h_margin,
         **limits,
     )
+
+    # after the spec's own rules, so every constraint here is nonzero
+    homogeneous = _parse_bool(values["homogeneous"], "homogeneous") if "homogeneous" in values else False
+    if homogeneous:
+        for name, p in (("f", f), ("g", g)):
+            if p.is_zero():
+                raise ParseError(f"{name}: zero polynomial has no degree, invalid under homogeneous = true")
+            if p.multidegree(grading) is None:
+                raise ParseError(f"{name}: not homogeneous w.r.t. the declared blocks")
+        for i, h in enumerate(constraints):
+            md = h.multidegree(grading)
+            if md is None:
+                raise ParseError(f"h[{i}]: not homogeneous w.r.t. the declared blocks")
+            if any(d % 2 for d in md):
+                raise ParseError(f"h[{i}]: per-block degree {md} must be even")
+    return spec

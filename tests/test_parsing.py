@@ -287,6 +287,24 @@ class TestParseProblem:
             assert captured.err.startswith(f"input error: {start}")
             assert captured.out == ""  # refused before the precheck
 
+    @pytest.mark.parametrize("rule", SPEC_RULES)
+    def test_spec_rule_comes_before_the_homogeneous_checks(self, rule, tmp_path, capsys):
+        # the homogeneous checks take degrees, which a zero constraint has not
+        start = SPEC_RULES[rule][0]
+        document = VALID + SPEC_RULES[rule][1] + "\nhomogeneous = true\n"
+        with pytest.raises(ParseError, match="^" + re.escape(start)):
+            parse_problem(document)
+        problem = tmp_path / "homogeneous.txt"
+        problem.write_text(document)
+        assert cli.main(["certify", str(problem)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"input error: {start}")
+        assert captured.out == ""
+
+    def test_zero_g_under_homogeneous(self):
+        with pytest.raises(ParseError, match="^g: zero polynomial"):
+            parse_problem(VALID + 'g = "0"\nhomogeneous = true')
+
     def test_inferred_variable_order_is_first_appearance(self):
         spec = parse_problem('f = "y^2 + x^2 + z^2"')
         assert spec.variables == ("y", "x", "z")
