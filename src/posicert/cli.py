@@ -15,8 +15,8 @@ Exit codes: 0 certified/valid, 1 not found up to the bound (or certificate
 invalid), 2 counterexample found, 3 input error (including a malformed
 command line, a polynomial text above the parser's degree cap, a problem
 that breaks a ProblemSpec rule, from the file or from --n-max, --m-max or
-the subcommand's mode, dump-sdp on f = 0 or at an exponent the mode never
-scans, an --out file that cannot be written, and a system whose dense SDP
+the subcommand's mode (certify on a zero g, say), dump-sdp on f = 0 or at
+an exponent the mode never scans, an --out file that cannot be written, and a system whose dense SDP
 tensor exceeds driver.SDP_TENSOR_BYTES), 4 numerical failure.
 """
 
@@ -193,7 +193,7 @@ def _run_dump(args) -> int:
             spec = parse_problem(fh.read())
         if args.n < 0:
             raise ParseError("--n must be nonnegative")
-        system, column, _, _ = driver.exponent_system(spec, args.n)
+        system, column = driver.exponent_system(spec, args.n)
         problem = driver.system_to_sdp(system, column) if isinstance(system, GramSystem) else None
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)

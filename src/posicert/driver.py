@@ -5,7 +5,7 @@ For each candidate exponent the driver builds the coefficient-matching
 system its mode poses there (``exponent_system``), solves the margin SDP,
 and on numerical feasibility rounds the interior point to an exactly
 verified rational certificate.  Exact parity or support obstructions skip
-the solve.  Numerical verdicts are reported as evidence only; the only
+the solve, and a zero target is the empty sum without one.  Numerical verdicts are reported as evidence only; the only
 claims made are exactly verified certificates and exact infeasibility flags.
 
 A target with real zeros has optimal margin zero, and rounding from the
@@ -186,32 +186,24 @@ def exponent_system(spec: ProblemSpec, exponent: int):
     the face under h, check-sos f at n = 0 without h, odd-power f*f^(m-1) at
     odd m, and epsilon-margin the stage system of f*g^(n+1), whose column
     holds the coefficients of g^n*h_margin^2.  The face is the one
-    ``build_reduced_system`` restricts to at the target's grid zeros, noted
-    "face restriction infeasible" when it is empty or infeasible and the
-    full system is kept.  Returns (system or exact obstruction, column, note,
-    the certificate's (f, g, constraints, n)); the column None is the
-    margin's, and the epsilon stage, which certifies nothing itself, has no
-    identity.  An exponent the mode never scans raises ValueError.
+    ``build_reduced_system`` restricts to at the target's grid zeros.
+    Returns (system or exact obstruction, column); the column None is the
+    margin's.  A zero target, which ``_attempt`` certifies without a system,
+    or an exponent the mode never scans raises ValueError.
     """
     if spec.mode == "epsilon-margin":
+        # no unknown of this monomial system is in two rows, so every row is
+        # independent, with or without the column, and all of them are posed
         one = Polynomial.one(len(spec.variables))
         system = build_gram_system(spec.f * spec.g ** (exponent + 1), one, 0, (), spec.grading)
         if not isinstance(system, GramSystem):
-            return system, None, "", None
+            return system, None
         eps_poly = spec.g**exponent * (spec.h_margin * spec.h_margin)
         if not set(eps_poly.terms) <= set(system.monomials):
-            return SupportInfeasible("h^2 support not reachable at this degree"), None, "", None
-        column = {k: c for k, ev in enumerate(system.monomials) if (c := eps_poly.coefficient(ev))}
-        return system, column, "", None
-    identity = f, g, constraints, n = _identity(spec, exponent)
-    system = build_reduced_system(f, g, n, constraints, spec.grading)
-    if not isinstance(system, GramSystem) or not system.face:
-        return system, None, "", identity
-    zeros, sizes = system.face
-    if not sizes:
-        return system, None, "face restriction infeasible", identity
-    sizes = ", ".join(f"{before} -> {system.block_dim(b)}" for b, before in sizes)
-    return system, None, f"face-restricted at {len(zeros)} zeros, block sizes {sizes}", identity
+            return SupportInfeasible("h^2 support not reachable at this degree"), None
+        return system, {k: c for k, ev in enumerate(system.monomials) if (c := eps_poly.coefficient(ev))}
+    f, g, constraints, n = _identity(spec, exponent)
+    return build_reduced_system(f, g, n, constraints, spec.grading), None
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +234,39 @@ _OBSTRUCTION_STATUS = {ParityInfeasible: PARITY_INFEASIBLE, SupportInfeasible: S
 _UNDECIDED = (BORDERLINE, ROUNDING_FAILED, MAX_ITERATIONS)
 
 
-def _obstruction(system, exponent: int) -> Optional[ScanRecord]:
-    """The record of an exact parity/support obstruction, or None for a system."""
-    if isinstance(system, GramSystem):
-        return None
-    return ScanRecord(exponent, _OBSTRUCTION_STATUS[type(system)], note=system.reason)
+def _solve(spec: ProblemSpec, exponent: int, options: SearchOptions):
+    """Solve the SDP ``exponent_system`` poses at one scan exponent.
+
+    Returns (system, solution), or (the record of the exact obstruction,
+    None) where there is no system.  A solver breakdown raises
+    NumericalFailureError: the scan cannot honestly continue.
+    """
+    system, column = exponent_system(spec, exponent)
+    if not isinstance(system, GramSystem):
+        return ScanRecord(exponent, _OBSTRUCTION_STATUS[type(system)], note=system.reason), None
+    solution = sdp.solve(system_to_sdp(system, column), options.gap_tolerance)
+    if solution.status == sdp.NUMERICAL_FAILURE:
+        where = f"in epsilon stage at n={exponent}" if spec.mode == "epsilon-margin" else f"at exponent {exponent}"
+        raise NumericalFailureError(f"SDP solver failed {where}")
+    return system, solution
 
 
 def _attempt(spec: ProblemSpec, exponent: int, options: SearchOptions):
-    """Build, solve, and (when numerically feasible) exactly certify the
-    margin SDP of one scan exponent of a certify, check-sos or odd-power scan."""
-    system, _, note, identity = exponent_system(spec, exponent)
-    obstruction = _obstruction(system, exponent)
-    if obstruction is not None:
-        return obstruction, None
-
-    solution = sdp.solve(system_to_sdp(system), options.gap_tolerance)
-    if solution.status == sdp.NUMERICAL_FAILURE:
-        raise NumericalFailureError(f"SDP solver failed at exponent {exponent}")
+    """Decide one scan exponent of a certify, check-sos or odd-power scan:
+    a zero target is the empty sum; otherwise solve the margin SDP and, when
+    it is numerically feasible, round to an exactly verified certificate."""
+    identity = _identity(spec, exponent)
+    if identity[0].is_zero():  # f*g^n is zero only with f: the spec keeps g nonzero where n > 0
+        empty = Certificate(spec.variables, spec.grading, *identity, blocks=())
+        return ScanRecord(exponent, CERTIFIED, note="zero target"), empty
+    system, solution = _solve(spec, exponent, options)
+    if solution is None:
+        return system, None
+    note = ""
+    if system.face:
+        zeros, sizes = system.face
+        sizes = ", ".join(f"{before} -> {system.block_dim(b)}" for b, before in sizes)
+        note = f"face-restricted at {len(zeros)} zeros, block sizes {sizes}" if sizes else "face restriction infeasible"
     if solution.status in (MARGIN_NEGATIVE, MAX_ITERATIONS):
         return ScanRecord(exponent, solution.status, t_star=solution.t_star, note=note), None
 
@@ -275,8 +282,9 @@ def _attempt(spec: ProblemSpec, exponent: int, options: SearchOptions):
     return ScanRecord(exponent, status, t_star=solution.t_star, rounding_attempts=attempts, note=note), cert
 
 
-def _scan(mode: str, exponents, bound: int, step, warnings=()) -> SearchReport:
-    """The one scan loop over the exponents, each tried by step(e).
+def _scan(mode: str, exponents, step, warnings=()) -> SearchReport:
+    """The one scan loop over the exponents, each tried by step(e); the
+    report's bound is the last of them.
 
     step returns (record, certificate or None, certified epsilon or None).
     The scan stops at the first certificate, except in epsilon-margin mode,
@@ -308,7 +316,7 @@ def _scan(mode: str, exponents, bound: int, step, warnings=()) -> SearchReport:
         records=records,
         outcome=outcome,
         certificate=certificate,
-        bound=bound,
+        bound=exponents[-1],
         unresolved=unresolved,
         epsilon=epsilon,
         epsilon_exponent=epsilon_exponent,
@@ -331,16 +339,11 @@ def certify(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Searc
     options = options or SearchOptions()
     spec = replace(spec, mode="check-sos" if spec.mode == "check-sos" else "certify")
     ns = [0] if spec.mode == "check-sos" else range(spec.n_max + 1)
-    if spec.f.is_zero():
-        f, g, constraints, n = _identity(spec, 0)
-        empty = Certificate(spec.variables, spec.grading, f, g, constraints, n, blocks=())
-        zero_target = ScanRecord(0, CERTIFIED, note="zero target")
-        return _scan(spec.mode, [0], ns[-1], lambda n: (zero_target, empty, None))
     warnings = []
-    if not spec.g.is_zero() and spec.g.total_degree() == 0 and len(ns) > 1:
+    if len(ns) > 1 and spec.g.total_degree() == 0:
         warnings.append("g is constant: higher powers only rescale the target, scanning n = 0 only")
         ns = [0]
-    return _scan(spec.mode, ns, ns[-1], lambda n: (*_attempt(spec, n, options), None), warnings)
+    return _scan(spec.mode, ns, lambda n: (*_attempt(spec, n, options), None), warnings)
 
 
 def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
@@ -348,7 +351,7 @@ def odd_power(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> Sea
     identity; the spec guarantees that m_max is odd and positive."""
     options = options or SearchOptions()
     spec = replace(spec, mode="odd-power")
-    return _scan(spec.mode, range(1, spec.m_max + 1, 2), spec.m_max, lambda m: (*_attempt(spec, m, options), None))
+    return _scan(spec.mode, range(1, spec.m_max + 1, 2), lambda m: (*_attempt(spec, m, options), None))
 
 
 def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -> SearchReport:
@@ -364,36 +367,26 @@ def epsilon_margin(spec: ProblemSpec, options: Optional[SearchOptions] = None) -
     spec = replace(spec, mode="epsilon-margin")
 
     def step(n):
-        def no_certificate(status, t_star=None, note=""):
-            return ScanRecord(n, status, t_star=t_star, note=note), None, None
-
-        system, column, _, _ = exponent_system(spec, n)
-        obstruction = _obstruction(system, n)
-        if obstruction is not None:
-            return obstruction, None, None
-        # no unknown of this monomial system is in two rows, so every row is
-        # independent, with or without the column, and all of them are posed
-        solution = sdp.solve(system_to_sdp(system, column), options.gap_tolerance)
-        if solution.status == sdp.NUMERICAL_FAILURE:
-            raise NumericalFailureError(f"SDP solver failed in epsilon stage at n={n}")
+        system, solution = _solve(spec, n, options)
+        if solution is None:
+            return system, None, None
         eps_star = solution.t_star
         if not solution.converged:
-            return no_certificate(MAX_ITERATIONS, eps_star)
+            return ScanRecord(n, MAX_ITERATIONS, t_star=eps_star), None, None
         if eps_star <= 10 * options.gap_tolerance:
-            return no_certificate(MARGIN_NEGATIVE, eps_star, "epsilon shrinks to zero")
+            return ScanRecord(n, MARGIN_NEGATIVE, t_star=eps_star, note="epsilon shrinks to zero"), None, None
         eps_cert = _shrink_rationalize(eps_star)
-        if eps_cert <= 0:
-            return no_certificate(ROUNDING_FAILED, eps_star, "epsilon rationalized to zero")
         stage = replace(spec, mode="certify", f=spec.g * spec.f - eps_cert * spec.h_margin**2, constraints=())
         rec, cert = _attempt(stage, n, options)
         note = f"epsilon* = {eps_star:.3e}, certified epsilon = {eps_cert}"
         return replace(rec, note=(rec.note + "; " if rec.note else "") + note), cert, eps_cert
 
-    return _scan("epsilon-margin", range(spec.n_max + 1), spec.n_max, step)
+    return _scan("epsilon-margin", range(spec.n_max + 1), step)
 
 
 def _shrink_rationalize(value: float) -> Fraction:
-    """3/4 of the value as a rational, preferring small denominators.
+    """3/4 of the value as a rational, preferring small denominators; positive
+    for every positive value.
 
     The shrink leaves a quarter of the value as slack, so any rationalization
     inside (0, 0.8*value] is safe; the smallest denominator that stays there

@@ -9,7 +9,7 @@ polynomial arithmetic.  Nothing double-precision survives into a Certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isfinite, lcm
 from typing import Mapping, Optional, Sequence
@@ -369,17 +369,7 @@ def lift_certificate(cert: Certificate) -> Certificate:
         lifted_blocks.append(
             CertificateBlock(product_index=block.product_index, basis=tuple(support), squares=squares)
         )
-    return Certificate(
-        variables=cert.variables,
-        grading=cert.grading,
-        f=cert.f,
-        g=cert.g,
-        constraints=cert.constraints,
-        n=cert.n + 2,
-        blocks=tuple(lifted_blocks),
-        margin=cert.margin,
-        denominator_bound=cert.denominator_bound,
-    )
+    return replace(cert, n=cert.n + 2, blocks=tuple(lifted_blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ Problem documents are line oriented, ``key = value``, with ``#`` comments:
 
     vars = x, y, z
     blocks = (x, y | z)          # optional, omitted = one block
-    f = "x^4*y^2 + ..."
-    g = "x^2 + y^2 + z^2"        # optional, default sum of squared vars
+    f = "x^4*y^2 + ..."          # nonzero in epsilon-margin mode
+    g = "x^2 + y^2 + z^2"        # optional, default sum of squared vars;
+                                 # nonzero in certify and epsilon-margin mode
     h = ["x^2 - y^2"]            # optional constraint list
     mode = certify               # certify | check-sos | odd-power | epsilon-margin
     n_max = 10                   # nonnegative
@@ -291,6 +292,10 @@ class ProblemSpec:
             raise ParseError(f"h: at most {MAX_CONSTRAINTS} constraints supported, found {len(self.constraints)}")
         if any(h.is_zero() for h in self.constraints):
             raise ParseError("h: constraint polynomials must be nonzero")
+        if self.mode in ("certify", "epsilon-margin") and self.g.is_zero():
+            raise ParseError(f"g: must be nonzero in {self.mode} mode, whose identities hold a power of g")
+        if self.mode == "epsilon-margin" and self.f.is_zero():
+            raise ParseError("f: must be nonzero in epsilon-margin mode, whose stage target f*g^(n+1) is then zero")
         if self.mode == "epsilon-margin" and (self.h_margin is None or self.h_margin.is_zero()):
             raise ParseError("h_margin: required and nonzero in epsilon-margin mode (zero leaves epsilon unbounded)")
 

@@ -187,6 +187,26 @@ def test_unwritable_out_is_input_error(argv, tmp_path, capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_dump_sdp_without_a_system_is_not_found(tmp_path, capsys):
+    # x^4 + x^3 at m = 1: pruning leaves {x^2}, whose square cannot reach x^3
+    problem = tmp_path / "odd.txt"
+    problem.write_text('vars = x\nf = "x^4 + x^3"\nmode = odd-power\n')
+    assert cli.main(["dump-sdp", str(problem), "--n", "1"]) == 1
+    reason = "target monomial with exponents (3,) is not achievable by any basis product"
+    assert capsys.readouterr().out == f"no system at n = 1: {reason}\n"
+
+
+def test_certify_on_a_zero_g_is_refused_before_the_search(tmp_path, capsys):
+    # a valid check-sos file; certify would take g^n with n > 0
+    problem = tmp_path / "zero_g.txt"
+    problem.write_text('vars = x, y\nf = "x^2 + y^2"\ng = "0"\n')
+    assert cli.main(["certify", str(problem), "--force"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: g: must be nonzero in certify mode")
+    assert captured.out == ""
+    assert cli.main(["check-sos", str(problem), "--force"]) == 0
+
+
 def test_dump_sdp_zero_target_is_input_error(tmp_path, capsys):
     problem = tmp_path / "zero.txt"
     problem.write_text('vars = x, y\nf = "0"\n')

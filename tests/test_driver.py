@@ -96,10 +96,15 @@ class TestCertify:
         assert f.evaluate([-1]) < 0  # negative somewhere: certainly not SOS
 
     def test_zero_target_certifies_trivially(self):
-        spec = make_spec("0", XY)
-        report = certify(spec)
-        assert report.outcome == "certificate"
-        assert verify_certificate(report.certificate).valid
+        # the empty sum, at the first exponent of every scan that certifies
+        for search, mode, first in ((certify, "certify", 0), (certify, "check-sos", 0), (odd_power, "odd-power", 1)):
+            report = search(make_spec("0", XY, mode=mode))
+            assert report.outcome == "certificate"
+            assert [(rec.exponent, rec.status, rec.note) for rec in report.records] == [
+                (first, driver.CERTIFIED, "zero target")
+            ]
+            assert report.certificate.blocks == ()
+            assert verify_certificate(report.certificate).valid
 
     def test_constant_g_scans_once(self):
         spec = make_spec("x^2 - y^2", XY, g=Polynomial.one(2), n_max=6)
@@ -574,24 +579,46 @@ def _stub_solution(status, t_star):
     )
 
 
-@pytest.mark.parametrize("status, t_star", [(sdp.MAX_ITERATIONS, -293.0), (sdp.MARGIN_NEGATIVE, -1e-3)])
-def test_face_solve_without_a_margin_is_recorded_as_it_ends(monkeypatch, status, t_star):
-    # Motzkin at n = 1 is solved on its face; the one solve, stubbed to end
-    # with `status`, leaves nothing to round
-    spec = make_spec(MOTZKIN, XYZ, g=parse_polynomial(G_XYZ, XYZ))
+FACE_NOTE = "face-restricted at 12 zeros, block sizes 9 -> 5"
+
+
+def _stubbed_step(monkeypatch, stage, status, t_star):
+    """The record and certificate of one scan exponent whose one solve is
+    stubbed to end with `status`: Motzkin at n = 1, which is solved on its
+    face, or the epsilon stage of problems/epsilon_example.txt at n = 0."""
     monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(status, t_star))
-    record, cert = driver._attempt(spec, 1, driver.SearchOptions())
+    if stage == "face":
+        return driver._attempt(make_spec(MOTZKIN, XYZ, g=parse_polynomial(G_XYZ, XYZ)), 1, driver.SearchOptions())
+    report = epsilon_margin(dataclasses.replace(parse_problem((PROBLEMS / "epsilon_example.txt").read_text()), n_max=0))
+    (record,) = report.records
+    return record, report.certificate
+
+
+@pytest.mark.parametrize(
+    "stage, status, t_star, note",
+    [
+        pytest.param("face", sdp.MAX_ITERATIONS, -293.0, FACE_NOTE, id="max_iterations--293.0"),
+        pytest.param("face", sdp.MARGIN_NEGATIVE, -1e-3, FACE_NOTE, id="margin_negative--0.001"),
+        pytest.param("epsilon", sdp.MAX_ITERATIONS, 2.5, "", id="epsilon-max_iterations-2.5"),
+        pytest.param(
+            "epsilon", sdp.MARGIN_NEGATIVE, -1e-3, "epsilon shrinks to zero", id="epsilon-margin_negative--0.001"
+        ),
+    ],
+)
+def test_face_solve_without_a_margin_is_recorded_as_it_ends(monkeypatch, stage, status, t_star, note):
+    # the one solve, stubbed to end with `status`, leaves nothing to round:
+    # not the face system, nor the epsilon stage's system
+    record, cert = _stubbed_step(monkeypatch, stage, status, t_star)
     assert cert is None
-    assert (record.status, record.t_star) == (status, t_star)
-    assert record.note == "face-restricted at 12 zeros, block sizes 9 -> 5"
+    assert (record.status, record.t_star, record.note) == (status, t_star, note)
     assert record.rounding_attempts == 0
 
 
 def test_face_solve_numerical_failure_propagates(monkeypatch):
-    spec = make_spec(MOTZKIN, XYZ, g=parse_polynomial(G_XYZ, XYZ))
-    monkeypatch.setattr(driver.sdp, "solve", lambda *a, **k: _stub_solution(sdp.NUMERICAL_FAILURE, float("nan")))
-    with pytest.raises(driver.NumericalFailureError):
-        driver._attempt(spec, 1, driver.SearchOptions())
+    # one raise serves the margin solve and the epsilon stage's solve
+    for stage, where in (("face", "at exponent 1"), ("epsilon", "in epsilon stage at n=0")):
+        with pytest.raises(driver.NumericalFailureError, match=f"SDP solver failed {where}$"):
+            _stubbed_step(monkeypatch, stage, sdp.NUMERICAL_FAILURE, float("nan"))
 
 
 def test_monotonicity_lift_through_driver():

@@ -117,6 +117,19 @@ class TestBuildGramSystem:
         out = build_gram_system(f, Polynomial.one(1), 0, (), Grading.single(1))
         assert isinstance(out, SupportInfeasible)
 
+    def test_inconsistent_rows(self):
+        # x = q*(x - y) with one constant unknown q: the x row asks q = 1,
+        # the y row q = 0, and every target monomial is reachable
+        f = parse_polynomial("x", XY)
+        h = parse_polynomial("x - y", XY)
+        out = build_gram_system(f, Polynomial.one(2), 0, (h,), Grading.single(2))
+        assert isinstance(out, SupportInfeasible)
+        assert out.monomial == (0, 1)
+        assert out.reason == "exact constraint system is inconsistent (first at monomial (0, 1))"
+        spec = parse_problem('vars = x, y\nf = "x"\nh = ["x - y"]\nmode = certify\nn_max = 0\n')
+        (record,) = driver.certify(spec).records
+        assert (record.exponent, record.status, record.note) == (0, driver.SUPPORT_INFEASIBLE, out.reason)
+
     def test_too_many_constraints(self):
         f = parse_polynomial("x^2", XY)
         h = tuple(parse_polynomial(f"x^2 + {k}*y^2", XY) for k in range(17))

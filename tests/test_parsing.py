@@ -170,10 +170,22 @@ VALID = 'vars = x, y\nf = "x^2 + y^2"\n'
 SEVENTEEN = [f"x^{k} + y" for k in range(1, 18)]
 ODD_M = "m_max: must be an odd positive integer"
 H_MARGIN = "h_margin: required and nonzero in epsilon-margin mode"
+EPSILON = 'mode = epsilon-margin\nh_margin = "x*y"\n'
+ZERO = Polynomial.zero(2)
+X_TIMES_Y = parse_polynomial("x*y", XY)
+
+
+def _with(lines: str) -> str:
+    """VALID with the given key lines added; a key VALID sets already is replaced."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = "".join(line + "\n" for line in VALID.splitlines() if line.split("=")[0].strip() not in keys)
+    return kept + lines
+
 
 # Each ProblemSpec rule: (how its message starts, naming the key; document
-# lines that break it; fields that break it in a valid spec; subcommand and
-# flags that break it on the command line, or None where no flag can)
+# lines that break it, added to VALID by _with; fields that break it in a
+# valid spec; subcommand and flags that break it on the command line, or
+# None where no flag can)
 SPEC_RULES = {
     "mode": ("mode: expected one of", "mode = bogus", dict(mode="bogus"), None),
     "n_max": ("n_max: must be nonnegative", "n_max = -1", dict(n_max=-1), ["certify", "--n-max=-1"]),
@@ -196,6 +208,24 @@ SPEC_RULES = {
         H_MARGIN,
         'mode = epsilon-margin\nh_margin = "0"',
         dict(mode="epsilon-margin", h_margin=Polynomial.zero(2)),
+        None,
+    ),
+    "g_zero_certify": (
+        "g: must be nonzero in certify mode",
+        'mode = certify\ng = "0"',
+        dict(mode="certify", g=ZERO),
+        None,
+    ),
+    "g_zero_epsilon": (
+        "g: must be nonzero in epsilon-margin mode",
+        EPSILON + 'g = "0"',
+        dict(mode="epsilon-margin", h_margin=X_TIMES_Y, g=ZERO),
+        None,
+    ),
+    "f_zero_epsilon": (
+        "f: must be nonzero in epsilon-margin mode",
+        EPSILON + 'f = "0"',
+        dict(mode="epsilon-margin", h_margin=X_TIMES_Y, f=ZERO),
         None,
     ),
 }
@@ -276,7 +306,7 @@ class TestParseProblem:
         start, lines, fields, argv = SPEC_RULES[rule]
         message = "^" + re.escape(start)
         with pytest.raises(ParseError, match=message):
-            parse_problem(VALID + lines)
+            parse_problem(_with(lines))
         with pytest.raises(ParseError, match=message):
             dataclasses.replace(parse_problem(VALID), **fields)
         if argv is not None:
@@ -291,7 +321,7 @@ class TestParseProblem:
     def test_spec_rule_comes_before_the_homogeneous_checks(self, rule, tmp_path, capsys):
         # the homogeneous checks take degrees, which a zero constraint has not
         start = SPEC_RULES[rule][0]
-        document = VALID + SPEC_RULES[rule][1] + "\nhomogeneous = true\n"
+        document = _with(SPEC_RULES[rule][1]) + "\nhomogeneous = true\n"
         with pytest.raises(ParseError, match="^" + re.escape(start)):
             parse_problem(document)
         problem = tmp_path / "homogeneous.txt"
