@@ -4,10 +4,11 @@ One line per run: its name, the outcome, every scan record (exponent,
 status, rounding attempts, note, repr of t*) and the sha256 of the
 certificate text, after the certificate has been re-checked by
 ``verify_certificate``.  Then one line per ``dump-sdp`` output, with the
-sha256 of its bytes, of each problem at the exponents its mode scans first:
-n = 0, 1 in certify and epsilon-margin mode, n = 0 in check-sos mode and
-m = 1, 3 in odd-power mode.  Two versions of the program that print the same
-lines reach the same verdicts with byte-identical certificates and SDPs:
+sha256 of its bytes and, in plain text, its ``blocks`` line of block sizes,
+of each problem at the exponents its mode scans first: n = 0, 1 in certify
+and epsilon-margin mode, n = 0 in check-sos mode and m = 1, 3 in odd-power
+mode.  Two versions of the program that print the same lines reach the same
+verdicts with byte-identical certificates and SDPs:
 
     PYTHONPATH=src python scripts/compare_runs.py > side.txt
 
@@ -105,8 +106,11 @@ def main():
             problem.write_text(text)
             for n in FIRST_EXPONENTS[pc.parse_problem(text).mode]:
                 code = cli.main(["dump-sdp", str(problem), "--n", str(n), "--out", str(out)])
-                digest = _digest(out.read_text()) if code == 0 else "-"
-                print(f"dump-sdp {name} n={n} exit={code} {digest}", flush=True)
+                digest, sizes = "-", "-"
+                if code == 0:
+                    text = out.read_text()
+                    digest, sizes = _digest(text), text.splitlines()[1]  # "blocks d1 d2 ..."
+                print(f"dump-sdp {name} n={n} exit={code} {digest} [{sizes}]", flush=True)
                 out.unlink(missing_ok=True)
 
 

@@ -8,13 +8,18 @@ verified rational certificate.  Exact parity or support obstructions skip
 the solve, and a zero target is the empty sum without one.  Numerical verdicts are reported as evidence only; the only
 claims made are exactly verified certificates and exact infeasibility flags.
 
+The margin solve runs on ``gram.build_reduced_system``'s system, whose
+product blocks are split by sign class: where the target and every
+constraint are even in a variable, a Gram matrix can be taken zero between
+monomials of different parity in it, so one product index carries one block
+per class, and the certificate merges them back into one section.
+
 A target with real zeros has optimal margin zero, and rounding from the
 interior succeeds only when its correction stays below the margin.  The one
-solve therefore runs on ``gram.build_reduced_system``'s system, restricted
-to the face cut out by the target's real zeros on the grid {-1, 0, 1}^n:
-at such a zero z every feasible Gram matrix has Q_e b_e(z) = 0, so the
-restriction is exact and loses no certificate, and a boundary target is
-solved on its face as an interior one.  An empty face keeps the full
+solve is therefore also restricted to the face cut out by the target's real
+zeros on the grid {-1, 0, 1}^n: at such a zero z every feasible Gram matrix
+has Q_e b_e(z) = 0, so the restriction is exact and loses no certificate,
+and a boundary target is solved on its face as an interior one.  An empty face keeps the full
 system.  A borderline solve tries one denominator bound, a margin-feasible
 one the whole ladder.
 """

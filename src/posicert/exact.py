@@ -325,22 +325,20 @@ def certificate_from_gram(
     denominator_bound: Optional[int] = None,
 ) -> Optional[Certificate]:
     """LDL' every active block and assemble a Certificate, or None if any
-    block matrix is not PSD."""
-    cert_blocks = []
+    block matrix is not PSD.  The squares of the blocks of one product index
+    (its sign classes) form one certificate block."""
+    by_index = {}  # product index -> its squares, in block order
     for b_idx in system.active_indices:
         factored = exact_ldlt(q_matrices[b_idx])
         if factored is None:
             return None
         lower, diag = factored
-        squares = combine_squares(lower, diag, system.blocks[b_idx].generators)
+        block = system.blocks[b_idx]
+        by_index.setdefault(block.product_index, []).extend(combine_squares(lower, diag, block.generators))
+    cert_blocks = []
+    for product_index, squares in by_index.items():
         support = sorted({ev for sq in squares for ev in sq.poly.support()}, key=grlex_key)
-        cert_blocks.append(
-            CertificateBlock(
-                product_index=system.blocks[b_idx].product_index,
-                basis=tuple(support),
-                squares=squares,
-            )
-        )
+        cert_blocks.append(CertificateBlock(product_index=product_index, basis=tuple(support), squares=tuple(squares)))
     return Certificate(
         variables=tuple(variables),
         grading=system.grading,

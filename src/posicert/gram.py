@@ -8,12 +8,15 @@ A target polynomial t and the constraint products m_e = h_1^{e_1}...h_r^{e_r}
 where b_e is the column of the block's generators.  A block is its
 generators: the basis monomials of the required degree, pruned by diagonal
 consistency, or on the face at the target's real zeros their rational
-combinations.  Matching the coefficient of every achievable monomial gives
-an exact linear system; the numeric layer solves it under a PSD constraint
-and the exact layer re-solves it over the rationals.  The system is an
-immutable value with one row format: sparse rows over the flattened Gram
-unknowns, off-diagonal coefficients doubled, which the row reduction, the
-SDP assembly and the exact projection all read.
+combinations.  In the system the search solves, a product index carries one
+block per sign class: its monomials of one parity on the variables in which
+the target and every h_i are even.  Matching the coefficient of every
+achievable monomial gives an exact linear system; the numeric layer solves
+it under a PSD constraint and the exact layer re-solves it over the
+rationals.  The system is an immutable value with one row format: sparse
+rows over the flattened Gram unknowns, off-diagonal coefficients doubled,
+which the row reduction, the SDP assembly and the exact projection all
+read.
 
 Blocks whose required basis degree is odd or negative in some grading block
 have no generators and are inactive.  All blocks inactive is a parity
@@ -55,8 +58,9 @@ class SupportInfeasible:
 class GramBlock:
     """One product block, which is its generators: the polynomials whose
     Gram matrix Q^(e) the block carries.  They are monomials, grlex sorted,
-    or on a face rational combinations of them.  A block without
-    generators is inactive."""
+    or on a face rational combinations of them.  Split by sign class, one
+    product index has several blocks, one per class, each with the product
+    index and multiplier.  A block without generators is inactive."""
 
     product_index: tuple  # e in {0,1}^r
     multiplier: Polynomial  # h_1^{e_1} ... h_r^{e_r}
@@ -81,7 +85,7 @@ class GramSystem:
 
     target: Polynomial
     grading: Grading
-    blocks: tuple  # GramBlock per product index
+    blocks: tuple  # GramBlock per product index, or per sign class of one
     unknown_layout: tuple  # (block_index, i, j) with i <= j
     monomials: tuple  # the matched monomial of each row, grlex-descending
     rows: tuple  # dict: layout position -> coefficient
@@ -311,23 +315,50 @@ def build_gram_system(
     return _assemble(target, grading, blocks)
 
 
+def _sign_classes(target: Polynomial, blocks, constraints) -> tuple:
+    """Every block split by the parity of its monomials on S, the variables
+    in which every exponent of the target and of every h_i is even; the
+    classes of one block take its place in sorted parity order, and an
+    inactive block stays one block.
+
+    The problem is invariant under x_i -> -x_i for i in S, so averaging a
+    Gram matrix over those sign changes keeps it feasible and PSD and zeroes
+    it between classes: only same-class pairs reach a target monomial, which
+    is even on S, and the split loses no certificate.
+    """
+    polys = (target, *constraints)
+    even = [i for i in range(target.n_vars) if all(ev[i] % 2 == 0 for p in polys for ev in p.terms)]
+    split = []
+    for block in blocks:
+        classes = {}
+        for gen in block.generators:
+            (ev,) = gen.terms
+            classes.setdefault(tuple(ev[i] % 2 for i in even), []).append(gen)
+        split.extend([replace(block, generators=tuple(classes[key])) for key in sorted(classes)] or [block])
+    return tuple(split)
+
+
 def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading):
     """The system the search solves: ``build_gram_system``'s pruned blocks,
-    restricted to the face at the target's real zeros, assembled once.
+    split by sign class (``_sign_classes``), restricted to the face at the
+    target's real zeros, assembled once.
 
     At a zero z of the target with every h_i(z) >= 0 the identity sums the
     nonnegative terms (b_e(z)' Q_e b_e(z)) * h^e(z) to 0, so Q_e b_e(z) = 0
     in every block with h^e(z) > 0 (partial facial reduction), and the
     block's generators are restricted to the exact nullspace of its rows
-    b_e(z).  The zeros z != 0 are sought on {-1, 0, 1}^n, evaluated exactly.
+    b_e(z).  A Gram matrix that is zero between sign classes has Q_c b_c(z)
+    = 0 in each class c, so each class is restricted against its own rows.
+    The zeros z != 0 are sought on {-1, 0, 1}^n, evaluated exactly.
     ``face`` is () when no block gains a row, (zeros, ((block, size
     before), ...)) on the face, and (zeros, ()) when the face is empty or
-    infeasible and the full system of the same blocks is kept.
+    infeasible and the full system of the same split blocks is kept.
     """
     built = _blocks(f, g, n, constraints, grading, prune=True)
     if isinstance(built, ParityInfeasible):
         return built
     target, blocks = built
+    blocks = _sign_classes(target, blocks, constraints)
     grid = iter_product((-1, 0, 1), repeat=target.n_vars)
     zeros = tuple(
         z for z in grid if any(z) and target.evaluate(z) == 0 and all(h.evaluate(z) >= 0 for h in constraints)

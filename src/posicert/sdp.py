@@ -12,7 +12,9 @@ through the Schur complement as an augmented system rather than split into a
 1x1 PSD block.  A solve is bitwise deterministic for identical inputs.  With
 each constraint tensor flattened to (m, d*d), A, A* and the Schur rows
 svec(G'A_kG) are matrix products, so an iteration costs O(m*sum d^3 +
-m^2*sum d^2).
+m^2*sum d^2).  The blocks of one size are stacked into one (k, d, d) array,
+so every per-block step is one batched call per distinct size, however many
+small blocks the problem has.
 
 In the margin encoding used by the certificate search the solved X equals
 Q - t*I blockwise, where t = u is the margin being maximized, so t* > 0
@@ -95,16 +97,22 @@ class SdpSolution:
         return self.status in (MARGIN_FEASIBLE, MARGIN_NEGATIVE, BORDERLINE)
 
 
-def _boundary_step(blocks: Sequence[np.ndarray], directions: Sequence[np.ndarray]) -> float:
+def _t(stack: np.ndarray) -> np.ndarray:
+    """The transpose of every matrix of a (k, d, d) stack."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def _boundary_step(stacks: Sequence[np.ndarray], directions: Sequence[np.ndarray]) -> float:
     """Largest alpha with every block + alpha*direction still PSD."""
     alpha = np.inf
-    for mat, d in zip(blocks, directions):
+    for mat, d in zip(stacks, directions):
         chol = np.linalg.cholesky(mat)
-        inv_chol = np.linalg.solve(chol, np.eye(mat.shape[0]))
-        scaled = inv_chol @ d @ inv_chol.T
-        w = np.linalg.eigvalsh((scaled + scaled.T) / 2.0)[0]
-        if w < -1e-14:
-            alpha = min(alpha, -1.0 / w)
+        inv_chol = np.linalg.inv(chol)
+        scaled = inv_chol @ d @ _t(inv_chol)
+        w = np.linalg.eigvalsh((scaled + _t(scaled)) / 2.0)[:, 0]
+        w = w[w < -1e-14]
+        if w.size:
+            alpha = min(alpha, float(np.min(-1.0 / w)))
     return alpha
 
 
@@ -119,16 +127,22 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
     dims = problem.block_dims
     m = problem.n_constraints
     n_total = int(sum(dims))
-    at = [np.asarray(t, dtype=float) for t in problem.a_blocks]
-    flat = [t.reshape(m, d * d) for t, d in zip(at, dims)]
+    # every iterate below is a list of stacks, one (k, d, d) array per size d
+    positions = {}  # d -> the positions of the blocks of size d
+    for pos, d in enumerate(dims):
+        positions.setdefault(d, []).append(pos)
+    at = [np.stack([np.asarray(problem.a_blocks[p], dtype=float) for p in group]) for group in positions.values()]
+    shapes = [(len(group), d, d) for d, group in positions.items()]
+    flat = [t.swapaxes(0, 1).reshape(m, k * d * d) for t, (k, d, _) in zip(at, shapes)]
     # svec of a symmetric block: upper triangle, off-diagonal scaled by sqrt(2)
-    svecs = [np.triu_indices(d) for d in dims]
+    svecs = [np.triu_indices(d) for d in positions]
     svecs = [(iu, np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))) for iu in svecs]
     c = np.asarray(problem.c, dtype=float)
     b = np.asarray(problem.b, dtype=float)
 
-    x = [np.eye(d) for d in dims]
-    s = [np.eye(d) for d in dims]
+    eyes = [np.eye(d) for d in positions]
+    x = [np.repeat(eye[None], k, axis=0) for eye, (k, _, _) in zip(eyes, shapes)]
+    s = [xb.copy() for xb in x]
     u = 0.0
     y = np.zeros(m)
     trace: list = []
@@ -140,7 +154,14 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
         return out
 
     def apply_a_adjoint(vec) -> list:
-        return [(vec @ fl).reshape(d, d) for fl, d in zip(flat, dims)]
+        return [(vec @ fl).reshape(shape) for fl, shape in zip(flat, shapes)]
+
+    def unstack(stacks) -> list:
+        out = [None] * len(dims)
+        for group, stack in zip(positions.values(), stacks):
+            for p, mat in zip(group, stack):
+                out[p] = mat
+        return out
 
     status = MAX_ITERATIONS
     iterations = 0
@@ -162,13 +183,13 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
             ax = apply_a(x)
             r_p = b - ax - c * u
             asty = apply_a_adjoint(y)
-            r_d = [-asty[bi] - s[bi] for bi in range(len(dims))]
+            r_d = [-a - sb for a, sb in zip(asty, s)]
             r_u = -1.0 - float(c @ y)  # max u posed internally as min -u
 
             compl = float(sum(np.vdot(xb, sb) for xb, sb in zip(x, s)))
             dobj = float(-(b @ y))
             slack = abs(r_u * u) + float(abs(y @ r_p))
-            slack += float(sum(abs(np.vdot(xb, rd)) for xb, rd in zip(x, r_d)))
+            slack += float(sum(np.abs(np.einsum("kij,kij->k", xb, rd)).sum() for xb, rd in zip(x, r_d)))
             trace.append((u, dobj, compl, slack))
 
             rel_gap = compl / (1.0 + abs(u) + abs(dobj))
@@ -193,11 +214,11 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
             for xb, sb in zip(x, s):
                 lx = np.linalg.cholesky(xb)
                 ls = np.linalg.cholesky(sb)
-                _, sig, vt = np.linalg.svd(ls.T @ lx)
+                _, sig, vt = np.linalg.svd(_t(ls) @ lx)
                 if np.min(sig) <= 0:
                     raise _Failure("scaling point collapsed")
-                g_b = lx @ vt.T / np.sqrt(sig)
-                g_inv = (np.sqrt(sig)[:, None] * vt) @ np.linalg.solve(lx, np.eye(lx.shape[0]))
+                g_b = lx @ _t(vt) / np.sqrt(sig)[:, None, :]
+                g_inv = (np.sqrt(sig)[:, :, None] * vt) @ np.linalg.inv(lx)
                 g_mats.append(g_b)
                 g_invs.append(g_inv)
                 lams.append(sig)
@@ -208,8 +229,9 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
             # near the central path's end.
             p_slices = []
             for tensor, g_b, (iu, weights) in zip(at, g_mats, svecs):
-                scaled = g_b.T @ tensor @ g_b
-                p_slices.append(scaled[:, iu[0], iu[1]] * weights)
+                scaled = _t(g_b)[:, None] @ tensor @ g_b[:, None]
+                svec = scaled[:, :, iu[0], iu[1]] * weights  # (k, m, d(d+1)/2)
+                p_slices.append(svec.swapaxes(0, 1).reshape(m, svec.shape[0] * svec.shape[2]))
             p_mat = np.concatenate(p_slices, axis=1) if p_slices else np.zeros((m, 0))
 
             def schur_matvec(z):
@@ -228,8 +250,8 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
 
             a_w_rd_w = np.zeros(m)
             for p_slice, g_b, rd, (iu, weights) in zip(p_slices, g_mats, r_d, svecs):
-                inner = g_b.T @ rd @ g_b
-                a_w_rd_w += p_slice @ (inner[iu[0], iu[1]] * weights)
+                inner = _t(g_b) @ rd @ g_b
+                a_w_rd_w += p_slice @ (inner[:, iu[0], iu[1]] * weights).ravel()
 
             minv_c = schur_base(c)
             c_minv_c = float(c @ minv_c)
@@ -257,11 +279,11 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
                 rhs_y = r_p - apply_a(rc_blocks) + a_w_rd_w
                 dy, du = aug_solve(rhs_y, r_u)
                 adj = apply_a_adjoint(dy)
-                ds = [r_d[bi] - adj[bi] for bi in range(len(dims))]
+                ds = [rd - a for rd, a in zip(r_d, adj)]
                 dx = []
                 for rc, g_b, dsb in zip(rc_blocks, g_mats, ds):
-                    cand = rc - g_b @ (g_b.T @ dsb @ g_b) @ g_b.T
-                    dx.append((cand + cand.T) / 2.0)
+                    cand = rc - g_b @ (_t(g_b) @ dsb @ g_b) @ _t(g_b)
+                    dx.append((cand + _t(cand)) / 2.0)
                 return dx, du, dy, ds
 
             # predictor (affine scaling); equal primal/dual steps keep the
@@ -278,14 +300,14 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
 
             # corrector in the scaled space, where both variables equal diag(lam)
             rc = []
-            for g_b, g_inv, lam, dxb, dsb in zip(g_mats, g_invs, lams, dx_a, ds_a):
-                dxh = g_inv @ dxb @ g_inv.T
-                dsh = g_b.T @ dsb @ g_b
-                rhs = sigma * mu * np.eye(len(lam)) - np.diag(lam * lam)
+            for g_b, g_inv, lam, dxb, dsb, eye in zip(g_mats, g_invs, lams, dx_a, ds_a, eyes):
+                dxh = g_inv @ dxb @ _t(g_inv)
+                dsh = _t(g_b) @ dsb @ g_b
+                rhs = sigma * mu * eye - eye * (lam * lam)[:, None, :]
                 rhs -= (dxh @ dsh + dsh @ dxh) / 2.0
-                e_mat = 2.0 * rhs / (lam[:, None] + lam[None, :])
-                cand = g_b @ e_mat @ g_b.T
-                rc.append((cand + cand.T) / 2.0)
+                e_mat = 2.0 * rhs / (lam[:, :, None] + lam[:, None, :])
+                cand = g_b @ e_mat @ _t(g_b)
+                rc.append((cand + _t(cand)) / 2.0)
 
             dx, du, dy, ds = newton(rc)
             alpha = min(
@@ -327,9 +349,9 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
     return SdpSolution(
         status=status,
         t_star=float(u),
-        x_blocks=x,
+        x_blocks=unstack(x),
         y=y,
-        s_blocks=s,
+        s_blocks=unstack(s),
         gap=float(rel_gap),
         iterations=iterations,
         trace=trace,

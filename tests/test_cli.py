@@ -2,12 +2,15 @@
 
 import dataclasses
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from posicert import cli, driver, sdp
 from posicert.exact import format_certificate, lift_certificate, parse_certificate
+from posicert.gram import build_gram_system, build_reduced_system
 from posicert.parsing import MAX_DEGREE, parse_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -97,15 +100,18 @@ def test_dump_sdp(tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.startswith("sdp-dump 1")
-    assert "blocks 2 1" in text
-    assert text.count("constraint ") == 3
+    # the basis {x, y} splits into its sign classes, and the x*y row, which
+    # only the pair (x, y) reached, is gone
+    assert "blocks 1 1 1" in text
+    assert text.count("constraint ") == 2
 
 
 def test_dump_sdp_is_the_face_the_search_solves(capsys):
     # Motzkin times g vanishes at 12 grid points: the search solves the face
-    # they cut out, 5 generators, not the full basis of 9
+    # they cut out of each sign class, 1 + 1 + 1 + 2 generators, not the
+    # full basis of 9
     assert cli.main(["dump-sdp", str(PROBLEMS / "motzkin.txt"), "--n", "1"]) == 0
-    assert "\nblocks 5\n" in capsys.readouterr().out
+    assert "\nblocks 1 1 1 2\n" in capsys.readouterr().out
 
 
 CHECK_SOS_WITH_H = 'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["x*y"]\nmode = check-sos\n'
@@ -368,11 +374,64 @@ def test_huge_n_max_scans_lazily(capsys):
     ],
 )
 def test_dense_tensor_over_budget_is_input_error(argv, monkeypatch, capsys):
-    monkeypatch.setattr(driver, "SDP_TENSOR_BYTES", 1000)
+    # Motzkin's tensors take 128 bytes at n = 0 (blocks 1 1 1 1, 4 rows)
+    # and 336 at n = 1 (blocks 1 1 1 2, 6 rows)
+    monkeypatch.setattr(driver, "SDP_TENSOR_BYTES", 100)
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert "input error: system too large for the dense SDP" in err
     assert "block sizes [" in err
+
+
+def test_split_system_fits_a_budget_its_unsplit_system_exceeds(monkeypatch, capsys):
+    # perturbed Motzkin has no grid zero, so at n = 0 the search solves its
+    # pruned basis split into sign classes; the guard reads the split sizes
+    spec = parse_problem((PROBLEMS / "perturbed_motzkin.txt").read_text())
+    split = build_reduced_system(spec.f, spec.g, 0, (), spec.grading)
+    unsplit = build_gram_system(spec.f, spec.g, 0, (), spec.grading)
+    assert [unsplit.block_dim(0)] == [sum(split.block_dim(b) for b in split.active_indices)] == [10]
+
+    def tensor_bytes(system):
+        return 8 * len(system.independent) * sum(system.block_dim(b) ** 2 for b in system.active_indices)
+
+    monkeypatch.setattr(driver, "SDP_TENSOR_BYTES", tensor_bytes(split))
+    assert tensor_bytes(unsplit) > driver.SDP_TENSOR_BYTES
+    with pytest.raises(ValueError, match="too large for the dense SDP"):
+        driver.system_to_sdp(unsplit)
+    assert cli.main(["certify", str(PROBLEMS / "perturbed_motzkin.txt"), "--force"]) == 0
+    assert "exact certificate at n = 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, document",
+    [
+        pytest.param("constrained_example", (PROBLEMS / "constrained_example.txt").read_text(), id="constrained"),
+        pytest.param(
+            "square_h", 'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["x^2 - y^2"]\nmode = certify\nn_max = 1\n', id="square_h"
+        ),
+    ],
+)
+def test_sign_classes_merge_into_one_certificate_block(name, document, tmp_path):
+    # the search solves one block per sign class; the certificate holds one
+    # section per product index and verifies in a separate process
+    spec = parse_problem(document)
+    system, _ = driver.exponent_system(spec, 0)
+    indices = [system.blocks[b].product_index for b in system.active_indices]
+    assert len(indices) > len(set(indices))  # some product index has several classes
+    report = driver.certify(spec)
+    text = format_certificate(report.certificate)
+    assert text.count("\ne = (") == len(set(indices)) == len(report.certificate.blocks)
+    assert [block.product_index for block in report.certificate.blocks] == sorted(set(indices))
+    parsed = parse_certificate(text)
+    assert format_certificate(parsed) == text
+    assert [block.squares for block in parsed.blocks] == [block.squares for block in report.certificate.blocks]
+    path = tmp_path / f"{name}.cert"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "posicert.cli", "verify", str(path)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Valid" in proc.stdout
 
 
 def test_odd_power_precheck_ignores_g(tmp_path, capsys):

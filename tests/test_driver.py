@@ -487,28 +487,33 @@ class TestKernelRestriction:
         reduced = build_reduced_system(f, g, 1, (), Grading.single(3))
         assert isinstance(reduced, GramSystem)
         _, sizes = reduced.face
-        assert sizes == ((0, system.block_dim(0)),)  # block 0 restricted from the full basis
-        assert reduced.block_dim(0) == len(reduced.blocks[0].generators)
-        assert reduced.block_dim(0) < system.block_dim(0)
+        # the full basis of 9, split into its four sign classes, each restricted
+        assert sizes == ((0, 2), (1, 2), (2, 2), (3, 3))
+        assert sum(before for _, before in sizes) == system.block_dim(0)
+        assert [reduced.block_dim(b) for b in range(4)] == [1, 1, 1, 2]
         reduced_solution = sdp.solve(system_to_sdp(reduced), 1e-8, 100)
         assert reduced_solution.status == sdp.MARGIN_FEASIBLE
         assert reduced_solution.t_star > 1e-3  # interior after the restriction
 
     @pytest.mark.parametrize("n, before, after", [(1, 9, 5), (2, 15, 11), (3, 22, 18), (4, 30, 26)])
     def test_restricted_generators_vanish_at_every_grid_zero(self, n, before, after):
+        # the full basis (before) splits into four sign classes, each
+        # restricted on its own; together they keep `after` generators
         f = parse_polynomial(MOTZKIN, XYZ)
         g = parse_polynomial(G_XYZ, XYZ)
         system = build_reduced_system(f, g, n, (), Grading.single(3))
-        zeros, ((block, size_before),) = system.face
+        zeros, sizes = system.face
         assert list(zeros) == [z for z in GRID if system.target.evaluate(z) == 0]
         assert len(zeros) == 12
-        assert size_before == build_gram_system(f, g, n, (), Grading.single(3)).block_dim(0)
-        assert (block, size_before, system.block_dim(0)) == (0, before, after)
-        assert all(gen.evaluate(z) == 0 for gen in system.blocks[0].generators for z in zeros)
+        assert [b for b, _ in sizes] == [0, 1, 2, 3]
+        assert sum(size for _, size in sizes) == build_gram_system(f, g, n, (), Grading.single(3)).block_dim(0)
+        assert (sum(size for _, size in sizes), sum(system.block_dim(b) for b, _ in sizes)) == (before, after)
+        assert all(gen.evaluate(z) == 0 for block in system.blocks for gen in block.generators for z in zeros)
 
     def test_robinson_certifies_on_its_face(self):
         # the numeric kernel guess left R*g^2 undecided; its 20 grid zeros
-        # cut the block from 21 to 11 and the face has a positive margin
+        # cut its four sign classes of 6, 6, 6, 3 to 3, 3, 3, 2 (21 to 11
+        # together) and the face has a positive margin
         robinson = (
             "x^6 + y^6 + z^6 - x^4*y^2 - x^2*y^4 - x^4*z^2 - x^2*z^4 - y^4*z^2 - y^2*z^4"
             " + 3*x^2*y^2*z^2"
@@ -516,7 +521,7 @@ class TestKernelRestriction:
         spec = make_spec(f"({robinson})*({G_XYZ})^2", XYZ, mode="check-sos")
         report = certify(spec)
         assert report.outcome == driver.OUTCOME_CERTIFICATE
-        assert report.records[0].note == "face-restricted at 20 zeros, block sizes 21 -> 11"
+        assert report.records[0].note == "face-restricted at 20 zeros, block sizes 6 -> 3, 6 -> 3, 6 -> 3, 3 -> 2"
         assert verify_certificate(report.certificate).valid
 
     def test_empty_face_keeps_the_full_system(self):
@@ -530,7 +535,7 @@ class TestKernelRestriction:
         assert first.t_star <= -1
         assert first.note == "face restriction infeasible"
         assert second.status == driver.CERTIFIED
-        assert second.note == "face-restricted at 12 zeros, block sizes 9 -> 5"
+        assert second.note == FACE_NOTE
         assert report.certificate.n == 1
 
     def test_no_grid_zero_means_no_restriction(self, monkeypatch):
@@ -558,13 +563,16 @@ class TestKernelRestriction:
         assert zeros == ((-1, -1), (1, 1))
         full = build_gram_system(f, one, 0, (h,), Grading.single(2))
         assert [b for b, _ in sizes] == full.active_indices  # both multipliers are 1 there
-        # x^2 - y^2 vanishes at all four zeros: its block keeps its generators
+        # x^2 - y^2 vanishes at all four zeros: its blocks keep their
+        # generators, and only the two sign classes of multiplier 1 shrink
         h = parse_polynomial("x^2 - y^2", XY)
         system = build_reduced_system(f, one, 0, (h,), Grading.single(2))
         zeros, sizes = system.face
         assert len(zeros) == 4
-        ((restricted, _),) = sizes
-        assert system.blocks[restricted].multiplier == one
+        assert [(system.blocks[b].multiplier, before, system.block_dim(b)) for b, before in sizes] == [
+            (one, 2, 1),
+            (one, 1, 0),
+        ]
 
 
 def _stub_solution(status, t_star):
@@ -579,7 +587,7 @@ def _stub_solution(status, t_star):
     )
 
 
-FACE_NOTE = "face-restricted at 12 zeros, block sizes 9 -> 5"
+FACE_NOTE = "face-restricted at 12 zeros, block sizes 2 -> 1, 2 -> 1, 2 -> 1, 3 -> 2"
 
 
 def _stubbed_step(monkeypatch, stage, status, t_star):
@@ -697,15 +705,16 @@ def test_numerical_failure_propagates(monkeypatch):
         certify(spec)
 
 
-# SHA-256 of format_certificate for fast runs, taken before exact arithmetic
-# moved from per-term Fractions to integers over one denominator: any change
-# to the arithmetic that moves a byte of a certificate fails here
+# SHA-256 of format_certificate for fast runs: any change to the arithmetic
+# or to the Gram point that moves a byte of a certificate fails here.  The
+# sign-symmetric Motzkin pins were taken once the search split each block by
+# sign class; the other two are older and held through that split
 PINNED_CERTIFICATES = {
     "motzkin_g_check_sos": (
         'vars = x, y, z\nf = "(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2)*(x^2 + y^2 + z^2)"\nmode = check-sos\n',
-        "e2bed1ff3c9c8f996c320ddb48a3f8dcde4edb6923bd40775c9e4f570a1ea6eb",
+        "e2a6b74978dfb4caa948f6096845c3cc97d68e31a97386462a6d79a75091d1e5",
     ),
-    "perturbed_motzkin.txt": (None, "c185be022c556d8b6932b5563ea5ae62b227568dc99bccde3c6ed1798294e1d0"),
+    "perturbed_motzkin.txt": (None, "5b230b4d6f18a9cef21afcbf36ffab7bc10ad28109b30838bf36dc3f699db91d"),
     "constrained_example.txt": (None, "dfe27d7f671327c9504912c56e25c8dfe129377b460811dc1b84b5b7e28d750d"),
     "odd_power_m1": (
         'vars = x, y\nf = "x^4 + y^4 + x^2*y^2 - x*y^3"\nmode = odd-power\nm_max = 1\n',

@@ -8,11 +8,13 @@ from fractions import Fraction
 import pytest
 
 from posicert import driver, sdp
+from posicert.exact import project_to_constraints
 from posicert.gram import (
     GramSystem,
     ParityInfeasible,
     SupportInfeasible,
     build_gram_system,
+    build_reduced_system,
     monomials_up_to,
     prune_basis,
     reconstruct,
@@ -300,3 +302,78 @@ def test_active_blocks_match_degree_obstruction():
             )
             expected = all(d >= 0 and d % 2 == 0 for d in need)
             assert block.active == expected
+
+
+MOTZKIN = "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"
+XYZ = ["x", "y", "z"]
+
+
+def _sign_symmetric_cases():
+    """(target, S) of Motzkin*g^k, k = 1..3, and of Stengle's f^3, with S
+    the variables in which every exponent of the target is even."""
+    motzkin = parse_polynomial(MOTZKIN, XYZ)
+    for k in (1, 2, 3):
+        yield pytest.param(motzkin * sum_of_squared_variables(3) ** k, (0, 1, 2), id=f"motzkin_g{k}")
+    stengle = parse_problem((PROBLEMS / "stengle.txt").read_text())
+    yield pytest.param(stengle.f**3, (1,), id="stengle_f3")  # even in y only
+
+
+class TestSignClasses:
+    def test_no_sign_symmetry_keeps_one_block(self):
+        # a dense ternary sextic, drawn as the random-SOS suite draws them,
+        # has odd exponents in every variable
+        target, _ = random_square_sum(random.Random(733), 3, 3, 4)
+        args = (target, Polynomial.one(3), 0, (), Grading.single(3))
+        system = build_reduced_system(*args)
+        assert len(system.blocks) == 1
+        assert system.blocks[0].generators == build_gram_system(*args).blocks[0].generators
+
+    def test_constraints_take_part_in_the_symmetry(self):
+        # x^4 + 1 alone is even in x and splits; under h = x it is not
+        # invariant under x -> -x, and each product index keeps one block
+        f = parse_polynomial("x^4 + 1", ["x"])
+        one = Polynomial.one(1)
+        plain = build_reduced_system(f, one, 0, (), Grading.single(1))
+        assert [exponents(block) for block in plain.blocks] == [((0,), (2,)), ((1,),)]
+        h = parse_polynomial("x", ["x"])
+        system = build_reduced_system(f, one, 0, (h,), Grading.single(1))
+        assert [block.product_index for block in system.blocks] == [(0,), (1,)]
+        assert system.blocks == build_gram_system(f, one, 0, (h,), Grading.single(1)).blocks
+
+    @pytest.mark.parametrize("target, even", _sign_symmetric_cases())
+    def test_classes_of_a_sign_symmetric_target(self, target, even):
+        one = Polynomial.one(target.n_vars)
+        grading = Grading.single(target.n_vars)
+        assert [i for i in range(target.n_vars) if all(ev[i] % 2 == 0 for ev in target.terms)] == list(even)
+        system = build_reduced_system(target, one, 0, (), grading)
+        assert len(system.blocks) > 1
+        # within a block every product of generators is even on S
+        for block in system.blocks:
+            for a in block.generators:
+                for b in block.generators:
+                    assert all(ev[i] % 2 == 0 for ev in (a * b).terms for i in even)
+        # the classes before the face partition the pruned basis
+        pruned = build_gram_system(target, one, 0, (), grading).block_dim(0)
+        before = [size for _, size in system.face[1]] if system.face else [len(b.generators) for b in system.blocks]
+        assert sum(before) == pruned
+        # an exact solution of the split rows reproduces the target
+        identity = {
+            b: [[Fraction(int(i == j)) for j in range(system.block_dim(b))] for i in range(system.block_dim(b))]
+            for b in system.active_indices
+        }
+        assert reconstruct(system, project_to_constraints(identity, system)) == target
+
+
+def test_epsilon_certify_stage_with_odd_terms_is_not_split(monkeypatch):
+    # g*f - e*(x + y)^4 has the odd terms x^3*y and x*y^3: the certify stage
+    # poses one block, and certifies e = 3/16 as the unsplit search did
+    spec = parse_problem(
+        'vars = x, y\nf = "x^2 + y^2"\ng = "x^2 + y^2"\nh_margin = "(x + y)^2"\nmode = epsilon-margin\nn_max = 1\n'
+    )
+    systems = []
+    build = driver.build_reduced_system
+    monkeypatch.setattr(driver, "build_reduced_system", lambda *a: systems.append(build(*a)) or systems[-1])
+    report = driver.epsilon_margin(spec)
+    assert report.outcome == driver.OUTCOME_CERTIFICATE
+    assert (report.epsilon, report.epsilon_exponent) == (Fraction(3, 16), 0)
+    assert len(systems) == 2 and all(len(system.blocks) == 1 for system in systems)

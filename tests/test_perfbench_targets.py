@@ -89,6 +89,6 @@ def test_trace_hooks_read_real_results():
     assert tracer.counts["sdp.iterations"] == calls["sdp", "solve"][1].iterations > 0
     assert tracer.counts["driver.exponents"] == 3
     assert tracer.maxima["gram.rows_max"] > 0
-    assert tracer.maxima["gram.dim_max"] == 5  # the face of Motzkin*g, not its full basis of 9
+    assert tracer.maxima["gram.dim_max"] == 2  # the largest sign class of Motzkin*g's face, not its full basis of 9
     assert tracer.counts["exact.cert_bytes"] > 0
     tracer.metrics(1.0)

@@ -106,6 +106,36 @@ def test_two_blocks_margin():
     assert np.max(np.abs(residual)) / (1.0 + np.max(np.abs(b))) <= 1e-7
 
 
+def test_blocks_of_one_size_are_solved_as_one_stack():
+    """Blocks of sizes 3, 2, 3, the two of size 3 stacked: the margin is the
+    one of the same problem posed as a single block-diagonal block, and each
+    X comes back at its own block's position."""
+    rng = np.random.default_rng(31)
+    dims = (3, 2, 3)
+    m = 12
+    q0, tensors = [], []
+    for d in dims:
+        root = rng.normal(size=(d, d))
+        q0.append(root @ root.T + 0.5 * np.eye(d))
+        mats = [np.eye(d)] + [(raw + raw.T) / 2.0 for raw in rng.normal(size=(m - 1, d, d))]
+        tensors.append(np.stack(mats))
+    b = sum(np.einsum("kij,ij->k", a, q) for a, q in zip(tensors, q0))
+    margin = sum(np.einsum("kii->k", a) for a in tensors)
+    merged = np.zeros((m, sum(dims), sum(dims)))
+    for a, start in zip(tensors, np.cumsum((0,) + dims[:-1])):
+        merged[:, start : start + a.shape[1], start : start + a.shape[1]] = a
+    sol = sdp.solve(sdp.SdpProblem(block_dims=dims, a_blocks=tensors, c=margin, b=b), 1e-8, 50)
+    ref = sdp.solve(sdp.SdpProblem(block_dims=(sum(dims),), a_blocks=[merged], c=margin, b=b), 1e-8, 50)
+    assert sol.status == ref.status == sdp.MARGIN_FEASIBLE
+    assert abs(sol.t_star - ref.t_star) <= 1e-6 * (1.0 + abs(ref.t_star))
+    assert [x.shape for x in sol.x_blocks] == [s.shape for s in sol.s_blocks] == [(d, d) for d in dims]
+    residual = -b
+    for a, x, d in zip(tensors, sol.x_blocks, dims):
+        assert np.linalg.eigvalsh(x)[0] > 0
+        residual += np.einsum("kij,ij->k", a, x + sol.t_star * np.eye(d))
+    assert np.max(np.abs(residual)) / (1.0 + np.max(np.abs(b))) <= 1e-7
+
+
 def test_unbounded_free_scalar_is_numerical_failure():
     # c = 0 (and m = 0) leave the augmented system [M c; c' 0] singular
     a = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
