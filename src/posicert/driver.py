@@ -129,30 +129,25 @@ def system_to_sdp(system: GramSystem, column: Optional[dict] = None) -> sdp.SdpP
         raise ValueError(f"system too large for the dense SDP: {sizes}, over {SDP_TENSOR_BYTES} bytes")
     a_blocks = [np.zeros((m, d, d)) for d in dims]
     b_vec = np.zeros(m)
-    c_vec = np.zeros(m)
     for k, row_idx in enumerate(rows):
         b_vec[k] = float(system.rhs[row_idx])
         for col, v in system.rows[row_idx].items():
             b, i, j = system.unknown_layout[col]
             value = float(v) if i == j else float(v) / 2  # rows hold 2c off the diagonal; halving is exact
             a_blocks[position[b]][k, i, j] = a_blocks[position[b]][k, j, i] = value
-        if column is None:
-            c_vec[k] = sum(float(np.trace(t[k])) for t in a_blocks)
-        else:
-            c_vec[k] = float(column.get(row_idx, 0.0))
-    # row scaling: rescaling each equation leaves the feasible set and the
-    # objective untouched but keeps the Schur complement well conditioned
-    for k in range(m):
-        scale = max(
-            [abs(b_vec[k])]
-            + [float(np.max(np.abs(t[k]))) for t in a_blocks if t.size]
-            + [abs(c_vec[k])]
-        )
-        if scale > 1.0:
-            b_vec[k] /= scale
-            for t in a_blocks:
-                t[k] /= scale
-            c_vec[k] /= scale
+    if column is None:
+        c_vec = sum((np.trace(t, axis1=1, axis2=2) for t in a_blocks), np.zeros(m))
+    else:
+        c_vec = np.array([float(column.get(row_idx, 0.0)) for row_idx in rows])
+    # row scaling by the row's largest |entry| where that exceeds 1: rescaling each
+    # equation leaves the feasible set and the objective untouched but keeps
+    # the Schur complement well conditioned
+    row_maxima = [np.abs(t).max(axis=(1, 2)) for t in a_blocks]
+    scale = np.maximum.reduce([np.abs(b_vec), np.abs(c_vec), np.ones(m)] + row_maxima)
+    b_vec /= scale
+    c_vec /= scale
+    for t in a_blocks:
+        t /= scale[:, None, None]
     return sdp.SdpProblem(block_dims=dims, a_blocks=a_blocks, c=c_vec, b=b_vec)
 
 

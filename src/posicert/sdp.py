@@ -14,7 +14,9 @@ each constraint tensor flattened to (m, d*d), A, A* and the Schur rows
 svec(G'A_kG) are matrix products, so an iteration costs O(m*sum d^3 +
 m^2*sum d^2).  The blocks of one size are stacked into one (k, d, d) array,
 so every per-block step is one batched call per distinct size, however many
-small blocks the problem has.
+small blocks the problem has.  Each iterate is factored once: the Cholesky
+factors of X and S that check it lies in the cone give the NT scaling and,
+each inverted once, the step lengths of the predictor and the corrector.
 
 In the margin encoding used by the certificate search the solved X equals
 Q - t*I blockwise, where t = u is the margin being maximized, so t* > 0
@@ -102,12 +104,11 @@ def _t(stack: np.ndarray) -> np.ndarray:
     return np.swapaxes(stack, -1, -2)
 
 
-def _boundary_step(stacks: Sequence[np.ndarray], directions: Sequence[np.ndarray]) -> float:
-    """Largest alpha with every block + alpha*direction still PSD."""
+def _boundary_step(inv_chols: Sequence[np.ndarray], directions: Sequence[np.ndarray]) -> float:
+    """Largest alpha with every block + alpha*direction still PSD, given the
+    inverse L^-1 of each block's Cholesky factor L."""
     alpha = np.inf
-    for mat, d in zip(stacks, directions):
-        chol = np.linalg.cholesky(mat)
-        inv_chol = np.linalg.inv(chol)
+    for inv_chol, d in zip(inv_chols, directions):
         scaled = inv_chol @ d @ _t(inv_chol)
         w = np.linalg.eigvalsh((scaled + _t(scaled)) / 2.0)[:, 0]
         w = w[w < -1e-14]
@@ -118,6 +119,16 @@ def _boundary_step(stacks: Sequence[np.ndarray], directions: Sequence[np.ndarray
 
 class _Failure(Exception):
     pass
+
+
+def _cone_factors(stacks: Sequence[np.ndarray]) -> list:
+    """Each stack's Cholesky factor; a non-finite stack or one outside the cone ends the solve."""
+    factors = []
+    for mat in stacks:
+        if not np.all(np.isfinite(mat)):
+            raise _Failure("non-finite iterate")
+        factors.append(np.linalg.cholesky(mat))  # LinAlgError: outside the cone
+    return factors
 
 
 def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int = 100) -> SdpSolution:
@@ -143,6 +154,7 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
     eyes = [np.eye(d) for d in positions]
     x = [np.repeat(eye[None], k, axis=0) for eye, (k, _, _) in zip(eyes, shapes)]
     s = [xb.copy() for xb in x]
+    chol_x, chol_s = _cone_factors(x), _cone_factors(s)
     u = 0.0
     y = np.zeros(m)
     trace: list = []
@@ -209,18 +221,17 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
             if not np.isfinite(compl) or compl > 1e16 or abs(u) > 1e14:
                 raise _Failure("iterates diverged")
 
-            # Nesterov-Todd scaling per block: W S W = X with W = G G'
-            g_mats, g_invs, lams = [], [], []
-            for xb, sb in zip(x, s):
-                lx = np.linalg.cholesky(xb)
-                ls = np.linalg.cholesky(sb)
+            # Nesterov-Todd scaling per block: W S W = X with W = G G', from the cone
+            # check's factors X = Lx Lx', S = Ls Ls', whose inverses serve the step lengths
+            g_mats, g_invs, lams, inv_x, inv_s = [], [], [], [], []
+            for lx, ls in zip(chol_x, chol_s):
                 _, sig, vt = np.linalg.svd(_t(ls) @ lx)
                 if np.min(sig) <= 0:
                     raise _Failure("scaling point collapsed")
-                g_b = lx @ _t(vt) / np.sqrt(sig)[:, None, :]
-                g_inv = (np.sqrt(sig)[:, :, None] * vt) @ np.linalg.inv(lx)
-                g_mats.append(g_b)
-                g_invs.append(g_inv)
+                inv_x.append(np.linalg.inv(lx))
+                inv_s.append(np.linalg.inv(ls))
+                g_mats.append(lx @ _t(vt) / np.sqrt(sig)[:, None, :])
+                g_invs.append((np.sqrt(sig)[:, :, None] * vt) @ inv_x[-1])
                 lams.append(sig)
 
             # Schur complement in Gram form: M = P P' with row k the stacked
@@ -280,17 +291,17 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
                 dy, du = aug_solve(rhs_y, r_u)
                 adj = apply_a_adjoint(dy)
                 ds = [rd - a for rd, a in zip(r_d, adj)]
-                dx = []
+                dx, dsh = [], []  # dsh: the scaled G' dS G of each block
                 for rc, g_b, dsb in zip(rc_blocks, g_mats, ds):
-                    cand = rc - g_b @ (_t(g_b) @ dsb @ g_b) @ _t(g_b)
+                    dsh.append(_t(g_b) @ dsb @ g_b)
+                    cand = rc - g_b @ dsh[-1] @ _t(g_b)
                     dx.append((cand + _t(cand)) / 2.0)
-                return dx, du, dy, ds
+                return dx, du, dy, ds, dsh
 
             # predictor (affine scaling); equal primal/dual steps keep the
             # feasibility residuals and the gap shrinking at the same rate
-            rc_aff = [-xb for xb in x]
-            dx_a, du_a, dy_a, ds_a = newton(rc_aff)
-            alpha_aff = min(1.0, _boundary_step(x, dx_a), _boundary_step(s, ds_a))
+            dx_a, du_a, dy_a, ds_a, dsh_a = newton([-xb for xb in x])
+            alpha_aff = min(1.0, _boundary_step(inv_x, dx_a), _boundary_step(inv_s, ds_a))
             mu = compl / n_total
             mu_aff = sum(
                 np.vdot(xb + alpha_aff * dxb, sb + alpha_aff * dsb)
@@ -300,30 +311,23 @@ def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int 
 
             # corrector in the scaled space, where both variables equal diag(lam)
             rc = []
-            for g_b, g_inv, lam, dxb, dsb, eye in zip(g_mats, g_invs, lams, dx_a, ds_a, eyes):
+            for g_b, g_inv, lam, dxb, dsh, eye in zip(g_mats, g_invs, lams, dx_a, dsh_a, eyes):
                 dxh = g_inv @ dxb @ _t(g_inv)
-                dsh = _t(g_b) @ dsb @ g_b
                 rhs = sigma * mu * eye - eye * (lam * lam)[:, None, :]
                 rhs -= (dxh @ dsh + dsh @ dxh) / 2.0
                 e_mat = 2.0 * rhs / (lam[:, :, None] + lam[:, None, :])
                 cand = g_b @ e_mat @ _t(g_b)
                 rc.append((cand + _t(cand)) / 2.0)
 
-            dx, du, dy, ds = newton(rc)
-            alpha = min(
-                1.0,
-                STEP_TO_BOUNDARY * _boundary_step(x, dx),
-                STEP_TO_BOUNDARY * _boundary_step(s, ds),
-            )
+            dx, du, dy, ds, _ = newton(rc)
+            alpha = min(1.0, STEP_TO_BOUNDARY * _boundary_step(inv_x, dx),
+                        STEP_TO_BOUNDARY * _boundary_step(inv_s, ds))
 
             # floating error can push a near-boundary iterate out of the
             # cone; such a step is refused and the loop ends in recovery
             x_new = [xb + alpha * dxb for xb, dxb in zip(x, dx)]
             s_new = [sb + alpha * dsb for sb, dsb in zip(s, ds)]
-            for mat in x_new + s_new:
-                if not np.all(np.isfinite(mat)):
-                    raise _Failure("non-finite iterate")
-                np.linalg.cholesky(mat)  # LinAlgError: the step left the cone
+            chol_x, chol_s = _cone_factors(x_new), _cone_factors(s_new)
             if alpha < 1e-10:
                 raise _Failure("step length collapsed")
             x = x_new

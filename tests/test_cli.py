@@ -173,7 +173,13 @@ def test_dump_sdp_is_the_first_sdp_the_search_solves(name, exponent, tmp_path, m
 
 @pytest.mark.parametrize(
     "name, exponent",
-    [("check_sos_with_h", 1), ("stengle.txt", 0), ("stengle.txt", 2), ("zero_h_margin", 0)],
+    [
+        ("check_sos_with_h", 1),
+        ("stengle.txt", 0),
+        ("stengle.txt", 2),
+        ("zero_h_margin", 0),
+        ("constrained_example.txt", -1),
+    ],
 )
 def test_dump_sdp_refuses_an_exponent_the_mode_never_scans(name, exponent, tmp_path, capsys):
     assert cli.main(["dump-sdp", str(_problem_file(tmp_path, name)), "--n", str(exponent)]) == 3
@@ -200,6 +206,49 @@ def test_dump_sdp_without_a_system_is_not_found(tmp_path, capsys):
     assert cli.main(["dump-sdp", str(problem), "--n", "1"]) == 1
     reason = "target monomial with exponents (3,) is not achievable by any basis product"
     assert capsys.readouterr().out == f"no system at n = 1: {reason}\n"
+
+
+# epsilon-margin problems whose stage system is an exact obstruction at every n
+EPSILON_OBSTRUCTED = {
+    "support": (
+        'vars = x, y\nf = "x^2 + y^2"\ng = "x^2 + y^2"\nh_margin = "x^3"\nmode = epsilon-margin\nn_max = 1\n',
+        driver.SUPPORT_INFEASIBLE,
+        "h^2 support not reachable at this degree",
+    ),
+    "parity": (
+        'vars = x, y\nf = "x^3 + y^3"\ng = "x^2 + y^2"\nh_margin = "x*y"\nmode = epsilon-margin\nn_max = 1\n',
+        driver.PARITY_INFEASIBLE,
+        "every product block has an odd or negative required basis degree",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EPSILON_OBSTRUCTED)
+def test_epsilon_stage_obstruction_is_recorded_without_a_solve(name, tmp_path, monkeypatch, capsys):
+    document, status, note = EPSILON_OBSTRUCTED[name]
+    problem = tmp_path / f"{name}.txt"
+    problem.write_text(document)
+    assert cli.main(["dump-sdp", str(problem), "--n", "0"]) == 1
+    assert capsys.readouterr().out.startswith(f"no system at n = 0: {note}")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an obstructed exponent must not reach the solver")
+
+    monkeypatch.setattr(driver.sdp, "solve", no_solve)
+    report = driver.epsilon_margin(parse_problem(document))
+    assert report.outcome == driver.OUTCOME_NOT_FOUND and report.certificate is None
+    assert [(r.exponent, r.status) for r in report.records] == [(0, status), (1, status)]
+    assert all(r.note.startswith(note) for r in report.records)
+
+
+def test_precheck_without_a_sample_warns(tmp_path, capsys):
+    # beyond 6 variables there is no grid, and --samples 0 draws no random point
+    problem = tmp_path / "seven.txt"
+    problem.write_text('vars = a, b, c, d, e, u, v\nf = "a^2 + b^2 + c^2 + d^2 + e^2 + u^2 + v^2"\n')
+    assert cli.main(["check-sos", str(problem), "--samples", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("warning: no point was sampled")
+    assert "exact certificate at n = 0" in out
 
 
 def test_certify_on_a_zero_g_is_refused_before_the_search(tmp_path, capsys):
@@ -272,13 +321,31 @@ def test_verify_negative_exponent_is_input_error(tmp_path, capsys):
         ("h = []", "h = []\nmargin = -inf", "margin:"),
         ("h = []", "h = []\ndenominator_bound = 0", "denominator_bound:"),
         ("h = []", "h = []\ndenominator_bound = -5", "denominator_bound:"),
+        ("vars = x, y", "vars = x, y\nvars = x, y", "duplicate key 'vars'"),
+        ("basis = [x, y]", "basis = [x, y]\nbasis = [x, y]", "duplicate basis in block section"),
+        ('g = "x^2 + y^2"\n', "", "missing g"),
+        ("e = ()", "e = 0", "e: expected a parenthesized tuple"),
+        ('h = []\nN = 0\ne = ()', 'h = ["x"]\nN = 0\ne = (2)', "e: entries must be 0 or 1"),
+        ("basis = [x, y]", "basis = [2*x, y]", "basis: '2*x' is not a monomial"),
+        ('(1, "x")', '(1, "x", "y")', "squares: expected (weight, \"poly\") pairs"),
+        ('(1, "x")', '(1/0, "x")', "squares: invalid rational '1/0'"),
     ],
 )
 def test_verify_malformed_entry_is_input_error(old, new, key, tmp_path, capsys):
     path = _circle_certificate(tmp_path, 0)
-    path.write_text(path.read_text().replace(old, new))
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
     assert cli.main(["verify", str(path)]) == 3
     assert key in capsys.readouterr().err
+
+
+def test_verify_product_index_of_the_wrong_length_is_invalid(tmp_path, capsys):
+    # a well-formed file whose section index has no entry for its one h
+    path = _circle_certificate(tmp_path, 0)
+    path.write_text(path.read_text().replace("h = []", 'h = ["x"]'))
+    assert cli.main(["verify", str(path)]) == 1
+    assert "Invalid: product index () has wrong length" in capsys.readouterr().out
 
 
 def test_verify_accepts_a_negative_finite_margin(tmp_path, capsys):

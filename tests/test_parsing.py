@@ -231,6 +231,25 @@ SPEC_RULES = {
 }
 
 
+# Rules of the problem document that a ProblemSpec built in code never meets:
+# (how the message starts, naming the key; document lines added to VALID by _with)
+DOCUMENT_RULES = {
+    "h_margin_outside_epsilon": ("h_margin: only valid in epsilon-margin mode", 'mode = certify\nh_margin = "x*y"'),
+    "blocks_without_parentheses": ("blocks: expected a parenthesized group list", "blocks = x, y"),
+    "blocks_empty_group": ("blocks: empty group", "blocks = (x, y | )"),
+    "homogeneous_not_boolean": ("homogeneous: expected true/false, found 'maybe'", "homogeneous = maybe"),
+    "f_not_homogeneous_per_block": (
+        "f: not homogeneous w.r.t. the declared blocks",
+        "blocks = (x | y)\nhomogeneous = true",
+    ),
+    "h_not_homogeneous": (
+        "h[0]: not homogeneous w.r.t. the declared blocks",
+        'mode = certify\nh = ["x^2 - y"]\nhomogeneous = true',
+    ),
+    "vars_invalid_name": ("vars: invalid variable name '2y'", "vars = x, 2y"),
+}
+
+
 class TestParseProblem:
     def test_defaults_from_single_key(self):
         spec = parse_problem('f = "x^2 + y^2"')
@@ -330,6 +349,16 @@ class TestParseProblem:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"input error: {start}")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("rule", DOCUMENT_RULES)
+    def test_document_rule_is_refused(self, rule):
+        start, lines = DOCUMENT_RULES[rule]
+        with pytest.raises(ParseError, match="^" + re.escape(start)):
+            parse_problem(_with(lines))
+
+    def test_homogeneous_false_is_accepted(self):
+        spec = parse_problem(_with('f = "x^2 + y + 1"\nhomogeneous = false'))
+        assert spec.f == parse_polynomial("x^2 + y + 1", XY)
 
     def test_zero_g_under_homogeneous(self):
         with pytest.raises(ParseError, match="^g: zero polynomial"):

@@ -106,10 +106,8 @@ def test_two_blocks_margin():
     assert np.max(np.abs(residual)) / (1.0 + np.max(np.abs(b))) <= 1e-7
 
 
-def test_blocks_of_one_size_are_solved_as_one_stack():
-    """Blocks of sizes 3, 2, 3, the two of size 3 stacked: the margin is the
-    one of the same problem posed as a single block-diagonal block, and each
-    X comes back at its own block's position."""
+def three_block_problem() -> sdp.SdpProblem:
+    """Blocks of sizes 3, 2, 3 in margin form around a strictly feasible Gram point."""
     rng = np.random.default_rng(31)
     dims = (3, 2, 3)
     m = 12
@@ -121,11 +119,20 @@ def test_blocks_of_one_size_are_solved_as_one_stack():
         tensors.append(np.stack(mats))
     b = sum(np.einsum("kij,ij->k", a, q) for a, q in zip(tensors, q0))
     margin = sum(np.einsum("kii->k", a) for a in tensors)
-    merged = np.zeros((m, sum(dims), sum(dims)))
+    return sdp.SdpProblem(block_dims=dims, a_blocks=tensors, c=margin, b=b)
+
+
+def test_blocks_of_one_size_are_solved_as_one_stack():
+    """Blocks of sizes 3, 2, 3, the two of size 3 stacked: the margin is the
+    one of the same problem posed as a single block-diagonal block, and each
+    X comes back at its own block's position."""
+    problem = three_block_problem()
+    dims, tensors, b = problem.block_dims, problem.a_blocks, problem.b
+    merged = np.zeros((problem.n_constraints, sum(dims), sum(dims)))
     for a, start in zip(tensors, np.cumsum((0,) + dims[:-1])):
         merged[:, start : start + a.shape[1], start : start + a.shape[1]] = a
-    sol = sdp.solve(sdp.SdpProblem(block_dims=dims, a_blocks=tensors, c=margin, b=b), 1e-8, 50)
-    ref = sdp.solve(sdp.SdpProblem(block_dims=(sum(dims),), a_blocks=[merged], c=margin, b=b), 1e-8, 50)
+    sol = sdp.solve(problem, 1e-8, 50)
+    ref = sdp.solve(sdp.SdpProblem(block_dims=(sum(dims),), a_blocks=[merged], c=problem.c, b=b), 1e-8, 50)
     assert sol.status == ref.status == sdp.MARGIN_FEASIBLE
     assert abs(sol.t_star - ref.t_star) <= 1e-6 * (1.0 + abs(ref.t_star))
     assert [x.shape for x in sol.x_blocks] == [s.shape for s in sol.s_blocks] == [(d, d) for d in dims]
@@ -134,6 +141,25 @@ def test_blocks_of_one_size_are_solved_as_one_stack():
         assert np.linalg.eigvalsh(x)[0] > 0
         residual += np.einsum("kij,ij->k", a, x + sol.t_star * np.eye(d))
     assert np.max(np.abs(residual)) / (1.0 + np.max(np.abs(b))) <= 1e-7
+
+
+def test_each_iterate_is_factored_once(monkeypatch):
+    """The cone check's Cholesky factors of X and S are the only ones an
+    iterate gets, and the scaling inverts each once: per stack of one block
+    size, at most two of each call per iterate, the start included."""
+    calls = {"cholesky": 0, "inv": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    sol = sdp.solve(three_block_problem(), 1e-8, 50)
+    assert sol.status == sdp.MARGIN_FEASIBLE and sol.iterations > 0
+    bound = 2 * 2 * (sol.iterations + 1)  # two stacks: sizes 3 and 2
+    assert 0 < calls["cholesky"] <= bound
+    assert 0 < calls["inv"] <= bound
 
 
 def test_unbounded_free_scalar_is_numerical_failure():
