@@ -7,7 +7,10 @@ certificate text, after the certificate has been re-checked by
 sha256 of its bytes and, in plain text, its ``blocks`` line of block sizes,
 of each problem at the exponents its mode scans first: n = 0, 1 in certify
 and epsilon-margin mode, n = 0 in check-sos mode and m = 1, 3 in odd-power
-mode.  Two versions of the program that print the same lines reach the same
+mode.  Last, one line per ``positivity_precheck`` run, with its (negative,
+zero, kept, total): each bundled problem at seeds 0 and 7, the random
+sums of squares, and at seeds 0 and 7 an indefinite form and a polynomial
+negative only near one grid point.  Two versions of the program that print the same lines reach the same
 verdicts with byte-identical certificates and SDPs:
 
     PYTHONPATH=src python scripts/compare_runs.py > side.txt
@@ -61,6 +64,19 @@ def _dumped():
         yield path.stem, path.read_text()
 
 
+def _prechecked():
+    """(name, spec, seed) of every precheck run."""
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        for seed in (0, 7):
+            yield path.stem, pc.parse_problem(path.read_text()), seed
+    for name, spec in _random_sos(8, 733):
+        yield name, spec, 0
+    # negative at the first draws, and only on the grid, in a later batch
+    for f in ("x^2 - y^2", "(x - 3/5)^2 + (y - 3/5)^2 - 1/1000"):
+        for seed in (0, 7):
+            yield f"indefinite[{f}]", pc.parse_problem(f'vars = x, y\nf = "{f}"\nmode = certify\n'), seed
+
+
 def _random_sos(count: int, seed: int):
     """Sums of four squares of dense ternary cubics, as scripts/run_random_sos_suite.py draws them."""
     rng = random.Random(seed)
@@ -112,6 +128,9 @@ def main():
                     digest, sizes = _digest(text), text.splitlines()[1]  # "blocks d1 d2 ..."
                 print(f"dump-sdp {name} n={n} exit={code} {digest} [{sizes}]", flush=True)
                 out.unlink(missing_ok=True)
+    for name, spec, seed in _prechecked():
+        result = pc.positivity_precheck(spec, seed=seed)
+        print(f"precheck {name} seed={seed} {(result.negative, result.zero, result.kept, result.total)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -32,7 +32,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Optional, Sequence
 
-from .poly import Grading, Polynomial, grlex_key
+import numpy as np
+
+from .poly import Grading, Polynomial, SignFilter, grlex_key
 from . import ratlin
 
 MAX_CONSTRAINTS = 16
@@ -349,7 +351,9 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
     block's generators are restricted to the exact nullspace of its rows
     b_e(z).  A Gram matrix that is zero between sign classes has Q_c b_c(z)
     = 0 in each class c, so each class is restricted against its own rows.
-    The zeros z != 0 are sought on {-1, 0, 1}^n, evaluated exactly.
+    The zeros z != 0 are sought on {-1, 0, 1}^n, with exact signs from
+    ``SignFilter``: a float pass decides most points, ``Polynomial.evaluate``
+    the rest.
     ``face`` is () when no block gains a row, (zeros, ((block, size
     before), ...)) on the face, and (zeros, ()) when the face is empty or
     infeasible and the full system of the same split blocks is kept.
@@ -359,10 +363,12 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
         return built
     target, blocks = built
     blocks = _sign_classes(target, blocks, constraints)
-    grid = iter_product((-1, 0, 1), repeat=target.n_vars)
-    zeros = tuple(
-        z for z in grid if any(z) and target.evaluate(z) == 0 and all(h.evaluate(z) >= 0 for h in constraints)
-    )
+    grid = [z for z in iter_product((-1, 0, 1), repeat=target.n_vars) if any(z)]
+    grid_float = np.array(grid, dtype=float)
+    on_face = SignFilter(target).signs(grid_float, np.ones(len(grid), dtype=bool), grid.__getitem__) == 0
+    for h in constraints:
+        on_face &= SignFilter(h).signs(grid_float, on_face, grid.__getitem__) >= 0
+    zeros = tuple(z for z, hit in zip(grid, on_face) if hit)
     face_blocks, sizes, zero = list(blocks), [], Polynomial.zero(target.n_vars)
     for b, block in enumerate(blocks):
         gens = block.generators

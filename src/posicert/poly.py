@@ -6,7 +6,10 @@ common denominator in lowest terms: the ring operations run in integers and
 bring each result to lowest terms with one gcd pass.  Instances are
 immutable and hashable; all arithmetic is exact.  The ``Fraction`` view of
 the coefficients is built when first read and cached; a float view is
-derived on demand for the numeric layers, never stored.
+derived on demand for the numeric layers, never stored.  ``SignFilter``
+gives a polynomial's exact signs over a batch of points, deciding most in
+float64 under a proven error bound and the rest by ``Polynomial.evaluate``;
+the positivity precheck and the search for the target's grid zeros use it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 ExponentVector = tuple  # tuple[int, ...], one entry per variable
 RationalLike = Union[int, str, Fraction]
@@ -321,6 +326,89 @@ class Polynomial:
                 num = {ev: c // g for ev, c in num.items()}
                 den //= g
         return cls._raw(n_vars, num, den)
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+_SMALLEST_NORMAL = 2.0**-1022
+
+
+class SignFilter:
+    """Exact signs of one polynomial over a batch of points, decided in float64
+    where a proven error bound allows and by ``Polynomial.evaluate`` elsewhere.
+
+    The float value is ``mono @ c`` over the batch's monomial matrix, built
+    from a power table made by repeated multiplication.  A term of degree at
+    most D takes at most K = 2D + n + T + 2 roundings (D coordinate
+    conversions, D + n products, the coefficient's conversion and product,
+    the T - 1 additions), so while nothing underflows the computed value is
+    within gamma_K * sum |c_t m_t| of the exact one, and sum |c_t m_t| is
+    the computed magnitude ``|mono| @ |c|`` up to another factor 1 + gamma_K
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.1;
+    K*u stays far below 1/4 for any polynomial that fits in memory).  The
+    sign is therefore certain where
+
+        |value| > 2*K*u * magnitude + slack,    u = 2^-53,
+
+    and ``slack`` covers underflow: each product or conversion may also be
+    off by one smallest normal number (which covers flush-to-zero too),
+    carried through at most D later factors of size at most R = max(1,
+    max |x_i|), so slack = 4*((2D + n + 2) * R^D * sum |c_t| + T) * 2^-1022.
+    A polynomial that is zero, or whose coefficients are not all normal
+    finite floats, is not filtered, nor is a point whose value or bound is
+    not finite (overflow anywhere ends in inf or nan).
+    """
+
+    def __init__(self, poly: Polynomial):
+        self.poly = poly
+        terms = poly.terms
+        self.exponents = np.array(list(terms), dtype=np.intp).reshape(len(terms), poly.n_vars)
+        self.degree = int(self.exponents.sum(axis=1).max(initial=0))
+        try:
+            self.coefficients = np.array([float(c) for c in terms.values()])
+        except OverflowError:  # float(Fraction) raises past the float range
+            self.coefficients = np.array([np.inf])
+        self.magnitudes = np.abs(self.coefficients)
+        self.filtered = bool(terms) and all(_SMALLEST_NORMAL <= c < np.inf for c in self.magnitudes)
+        n_terms, n_vars = self.exponents.shape
+        self.factor = 2 * (2 * self.degree + n_vars + n_terms + 2) * _UNIT_ROUNDOFF
+        self.reach_weight = 4 * (2 * self.degree + n_vars + 2) * float(self.magnitudes.sum())
+        self.slack_floor = 4 * n_terms
+
+    def signs(self, xf: np.ndarray, needed: np.ndarray, point) -> np.ndarray:
+        """The exact sign (-1, 0 or 1) at each point of a batch where
+        ``needed`` is set; entries elsewhere are meaningless.  ``xf`` is the
+        batch in float64, one row per point, each coordinate the correctly
+        rounded double of the exact one, and ``point(i)`` is the i-th point
+        in exact rationals, asked for only where the float pass cannot
+        decide."""
+        sign = np.zeros(len(xf), dtype=np.int8)
+        uncertain = needed
+        if self.filtered:
+            value, bound = self._float_pass(xf)
+            certain = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
+            sign[certain] = np.sign(value[certain])
+            uncertain = needed & ~certain
+        for i in np.flatnonzero(uncertain):
+            value = self.poly.evaluate(point(i))
+            sign[i] = (value > 0) - (value < 0)
+        return sign
+
+    def _float_pass(self, xf: np.ndarray):
+        """The float value at each point and the bound its error stays within."""
+        n_vars = xf.shape[1]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            powers = np.empty((self.degree + 1, n_vars, len(xf)))
+            powers[0] = 1.0
+            for k in range(1, self.degree + 1):
+                powers[k] = powers[k - 1] * xf.T
+            mono = powers[self.exponents[:, 0], 0]
+            for j in range(1, n_vars):
+                mono = mono * powers[self.exponents[:, j], j]
+            value = self.coefficients @ mono
+            magnitude = self.magnitudes @ np.abs(mono)
+            reach = np.maximum(1.0, np.abs(xf).max(axis=1)) ** self.degree
+            slack = (self.reach_weight * reach + self.slack_floor) * _SMALLEST_NORMAL
+            return value, self.factor * magnitude + slack
 
 
 def sum_of_squared_variables(n_vars: int) -> Polynomial:

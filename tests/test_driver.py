@@ -23,7 +23,7 @@ from posicert.driver import (
 from posicert.exact import format_certificate, lift_certificate, verify_certificate
 from posicert.gram import GramSystem, build_gram_system, build_reduced_system, monomials_up_to
 from posicert.parsing import ParseError, parse_polynomial, parse_problem
-from posicert.poly import Grading, Polynomial, sum_of_squared_variables
+from posicert.poly import Grading, Polynomial, SignFilter, sum_of_squared_variables
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -265,10 +265,11 @@ class TestPrecheck:
         b = positivity_precheck(spec, samples=300, seed=7)
         assert a == b
 
-    def test_points_are_drawn_one_at_a_time(self):
+    def test_points_are_drawn_in_lazy_batches(self):
         # a list of 10^12 draws could never be built; the stream yields at once
-        points = driver._sample_points(2, 10**12, graded=False, seed=0)
-        v, quarter, four_v, w = (next(points) for _ in range(4))
+        num, den = next(driver._sample_batches(2, 10**12, graded=False, seed=0))
+        assert 4 <= len(num) <= driver._PRECHECK_BATCH
+        v, quarter, four_v, w = (tuple(map(Fraction, num[i].tolist(), den[i].tolist())) for i in range(4))
         assert quarter == tuple(c / 4 for c in v) and four_v == tuple(4 * c for c in v)
         assert w != v
 
@@ -291,7 +292,9 @@ class TestPrecheck:
     def test_origin_is_decided_exactly(self, monkeypatch):
         # a point whose coordinates all round to 0.0 is not the origin
         tiny = (Fraction(1, 10**400), Fraction(0))
-        monkeypatch.setattr(driver, "_sample_points", lambda *args: iter([(Fraction(0), Fraction(0)), tiny]))
+        num = np.array([[0, 0], [1, 0]], dtype=object)
+        den = np.array([[1, 1], [10**400, 1]], dtype=object)
+        monkeypatch.setattr(driver, "_sample_batches", lambda *args: iter([(num, den)]))
         result = positivity_precheck(make_spec("-x^2 - y^2", XY))
         assert result.negative == (tiny, "f", Fraction(-1, 10**800))
         assert (result.kept, result.total) == (1, 2)
@@ -306,6 +309,15 @@ class TestPrecheck:
         for bound in (1, 2, 7, 10**4, 10**12):
             for x in values:
                 assert ratlin.limit_denominator(x, bound) == Fraction(x).limit_denominator(bound)
+
+
+def _grid(n_vars):
+    """The precheck's grid on the parameter cube, as Fraction tuples."""
+    res = driver._GRID_RESOLUTION.get(n_vars)
+    if res is None:
+        return
+    half = (res - 1) // 2
+    yield from itertools.product([Fraction(i - half, half) for i in range(res)], repeat=n_vars)
 
 
 def _reference_precheck(spec, samples, seed):
@@ -330,7 +342,7 @@ def _reference_precheck(spec, samples, seed):
             if not graded:
                 yield tuple(v / 4 for v in vec)
                 yield tuple(4 * v for v in vec)
-        yield from driver._grid_points(n_vars)
+        yield from _grid(n_vars)
 
     negative = zero = None
     kept = total = 0
@@ -413,11 +425,11 @@ def _assert_certified_signs_are_exact(poly, points):
     batch = [tuple(p) for p in points]
     xf = np.array(batch, dtype=float)
     exact = np.array([(v > 0) - (v < 0) for v in map(poly.evaluate, batch)])
-    sign_filter = driver._SignFilter(poly)
-    certified = sign_filter.signs(batch, xf, np.zeros(len(batch), dtype=bool))
+    sign_filter = SignFilter(poly)
+    certified = sign_filter.signs(xf, np.zeros(len(batch), dtype=bool), batch.__getitem__)
     decided = certified != 0  # the filter never certifies a zero
     assert np.array_equal(certified[decided], exact[decided])
-    assert np.array_equal(sign_filter.signs(batch, xf, np.ones(len(batch), dtype=bool)), exact)
+    assert np.array_equal(sign_filter.signs(xf, np.ones(len(batch), dtype=bool), batch.__getitem__), exact)
     return decided
 
 
@@ -446,7 +458,7 @@ def test_filter_leaves_near_cancellation_to_exact_arithmetic(offsets):
 )
 def test_filter_leaves_exact_zeros_to_exact_arithmetic(text, variables):
     poly = parse_polynomial(text, variables)
-    grid = list(driver._grid_points(len(variables)))
+    grid = list(_grid(len(variables)))
     decided = _assert_certified_signs_are_exact(poly, grid)
     zeros = np.array([poly.evaluate(p) == 0 for p in grid])
     assert zeros.any() and not decided[zeros].any()
@@ -467,7 +479,7 @@ def test_underflow_is_not_certified(x, y):
 def test_coefficients_outside_the_normal_floats_are_not_filtered(coefficient):
     poly = Polynomial(2, {(2, 0): 1, (0, 2): coefficient})
     decided = _assert_certified_signs_are_exact(poly, [(Fraction(1), Fraction(2))])
-    assert not driver._SignFilter(poly).filtered and not decided.any()
+    assert not SignFilter(poly).filtered and not decided.any()
 
 
 MOTZKIN = "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"
