@@ -414,35 +414,37 @@ class PrecheckResult:
 
 _GRID_RESOLUTION = {1: 21, 2: 21, 3: 21, 4: 9, 5: 5, 6: 5}
 _PRECHECK_BATCH = 256  # points per float pass: larger batches only cost memory
+_PRECHECK_DRAWS = 1024  # draws rounded by one batched walk, whose cost is mostly per call
 
 
 def _sample_batches(n_vars: int, samples: int, graded: bool, seed: int):
     """The precheck's sample points in draw order, in batches of at most
-    ``_PRECHECK_BATCH`` points, each drawn when its batch is asked for: a
-    pair (numerators, denominators) of integer arrays, one row per point,
-    each coordinate in lowest terms."""
+    ``_PRECHECK_BATCH`` points: pairs (numerators, denominators) of integer
+    arrays, one row per point, each coordinate in lowest terms.  The draws
+    are made ``_PRECHECK_DRAWS`` at a time, as the stream reaches them."""
     rng = random.Random(seed)
-    per_draw = 1 if graded else 3  # v, and for a non-graded f v/4 and 4v
-    step = _PRECHECK_BATCH // per_draw
-    for start in range(0, samples, step):
-        count = min(step, samples - start)
+    for start in range(0, samples, _PRECHECK_DRAWS):
+        count = min(_PRECHECK_DRAWS, samples - start)
         draws = limit_denominators([rng.gauss(0.0, 1.0) for _ in range(count * n_vars)], 10**4)
         num, den = (a.reshape(count, n_vars) for a in draws)
         nonzero = (num != 0).any(axis=1)
         num, den = num[nonzero], den[nonzero]
-        if not graded:  # num/den is in lowest terms, so only the factors of 4 cancel
+        if not graded:  # v, v/4, 4v per draw; num/den is in lowest terms, so only factors of 4 cancel
             quarter, four = np.gcd(num, 4), np.gcd(den, 4)
             num = np.stack([num, num // quarter, 4 * num // four], axis=1).reshape(-1, n_vars)
             den = np.stack([den, 4 * den // quarter, den // four], axis=1).reshape(-1, n_vars)
-        yield num, den
+        yield from _batches(num, den)
     res = _GRID_RESOLUTION.get(n_vars)
     if res is not None:  # the grid (i - half)/half over the cube, the last coordinate fastest
         half = (res - 1) // 2
         offsets = np.indices((res,) * n_vars).reshape(n_vars, -1).T - half
         common = np.gcd(offsets, half)
-        for start in range(0, len(offsets), _PRECHECK_BATCH):
-            rows = slice(start, start + _PRECHECK_BATCH)
-            yield offsets[rows] // common[rows], half // common[rows]
+        yield from _batches(offsets // common, half // common)
+
+
+def _batches(num: np.ndarray, den: np.ndarray):
+    for start in range(0, len(num), _PRECHECK_BATCH):
+        yield num[start : start + _PRECHECK_BATCH], den[start : start + _PRECHECK_BATCH]
 
 
 def _exact_points(num: np.ndarray, den: np.ndarray):

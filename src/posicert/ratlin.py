@@ -189,9 +189,9 @@ def limit_denominators(xs, max_denominator: int):
 def _walk(num: np.ndarray, den: np.ndarray, max_denominator: int):
     """``limit_denominator``'s walk over int64 arrays of reduced ratios num/den
     with den > max_denominator, for the (numerators, denominators) it picks."""
-    a = num // den  # the first quotient leaves q0 + a*q1 = 1 below the bound
+    a = num // den  # the first step never stops: its q0 + a*q1 is 1
     ones = np.ones_like(a)
-    state = np.array([ones, 0 * ones, a, ones, den, num - a * den])  # p0, q0, p1, q1, n, d
+    state = np.array([ones, np.zeros_like(a), a, ones, den, num - a * den])  # p0, q0, p1, q1, n, d
     final = np.empty_like(state)
     cols = np.arange(a.size)
     while cols.size:
@@ -206,7 +206,8 @@ def _walk(num: np.ndarray, den: np.ndarray, max_denominator: int):
     k = (max_denominator - q0) // q1
     # x = (p1*t + p0)/(q1*t + q0) with t = n/d, so |x - p1/q1| = 1/(q1*(q1*t + q0))
     # and, at p/q = (p0 + k*p1)/(q0 + k*q1), |x - p/q| = (t - k)/(q*(q1*t + q0)):
-    # the convergent is as close iff q0 + 2*k*q1 <= q1*t, decided in Python ints
-    lhs, rhs = (q0 + 2 * k * q1).tolist(), q1.tolist()
-    convergent = np.array([c * dd <= qq * nn for c, dd, qq, nn in zip(lhs, d.tolist(), rhs, n.tolist())], dtype=bool)
+    # the convergent is as close iff (q0 + 2*k*q1)*d <= q1*n, compared in Python
+    # ints: the products can pass int64
+    s = (q0 + 2 * k * q1).tolist()
+    convergent = np.array([si * di <= qi * ni for si, di, qi, ni in zip(s, d.tolist(), q1.tolist(), n.tolist())])
     return np.where(convergent, p1, p0 + k * p1), np.where(convergent, q1, q0 + k * q1)
