@@ -437,9 +437,11 @@ def _sample_batches(n_vars: int, samples: int, graded: bool, seed: int):
     res = _GRID_RESOLUTION.get(n_vars)
     if res is not None:  # the grid (i - half)/half over the cube, the last coordinate fastest
         half = (res - 1) // 2
-        offsets = np.indices((res,) * n_vars).reshape(n_vars, -1).T - half
-        common = np.gcd(offsets, half)
-        yield from _batches(offsets // common, half // common)
+        for start in range(0, res**n_vars, _PRECHECK_BATCH):
+            rows = np.arange(start, min(start + _PRECHECK_BATCH, res**n_vars))
+            offsets = np.stack(np.unravel_index(rows, (res,) * n_vars), axis=1) - half
+            common = np.gcd(offsets, half)
+            yield offsets // common, half // common
 
 
 def _batches(num: np.ndarray, den: np.ndarray):

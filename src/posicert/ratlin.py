@@ -158,14 +158,14 @@ def limit_denominators(xs, max_denominator: int):
     e its integer mantissa and exponent, a ratio of int64 values.  Where
     that ratio in lowest terms has a denominator above the bound, the
     scalar's continued-fraction walk runs over all such floats at once in
-    int64 (``_walk``); for bounds below 2^43 no value of the walk overflows,
+    int64 (``_walk``); for bounds below 2^31 no value of the walk overflows,
     and every result is below 2^53 in magnitude.  Every other float, zero,
     tiny, huge, or past that bound, goes to the scalar
     ``limit_denominator``.  The arrays are int64, or of dtype object, over
     Python ints, where some result does not fit int64.
     """
     xs = np.asarray(xs, dtype=float)
-    inside = (np.abs(xs) >= 2.0**-10) & (np.abs(xs) < 2.0**9) & (max_denominator < 2**43)
+    inside = (np.abs(xs) >= 2.0**-10) & (np.abs(xs) < 2.0**9) & (max_denominator < 2**31)
     fast, slow = np.flatnonzero(inside), np.flatnonzero(~inside)
     mantissa, exponent = np.frexp(xs[fast])
     num, den = np.zeros(xs.size, dtype=np.int64), np.ones(xs.size, dtype=np.int64)
@@ -206,8 +206,11 @@ def _walk(num: np.ndarray, den: np.ndarray, max_denominator: int):
     k = (max_denominator - q0) // q1
     # x = (p1*t + p0)/(q1*t + q0) with t = n/d, so |x - p1/q1| = 1/(q1*(q1*t + q0))
     # and, at p/q = (p0 + k*p1)/(q0 + k*q1), |x - p/q| = (t - k)/(q*(q1*t + q0)):
-    # the convergent is as close iff (q0 + 2*k*q1)*d <= q1*n, compared in Python
-    # ints: the products can pass int64
-    s = (q0 + 2 * k * q1).tolist()
-    convergent = np.array([si * di <= qi * ni for si, di, qi, ni in zip(s, d.tolist(), q1.tolist(), n.tolist())])
+    # the convergent is as close iff s*d <= q1*n, s = q0 + 2*k*q1 <= 2*bound, that
+    # is d/q1 <= n/s, compared exactly by integer parts, then by remainders,
+    # whose products stay below 2*bound^2
+    s = q0 + 2 * k * q1
+    dq, dr = np.divmod(d, q1)
+    nq, nr = np.divmod(n, np.maximum(s, 1))
+    convergent = (s == 0) | (dq < nq) | ((dq == nq) & (dr * s <= nr * q1))
     return np.where(convergent, p1, p0 + k * p1), np.where(convergent, q1, q0 + k * q1)

@@ -377,3 +377,23 @@ def test_epsilon_certify_stage_with_odd_terms_is_not_split(monkeypatch):
     assert report.outcome == driver.OUTCOME_CERTIFICATE
     assert (report.epsilon, report.epsilon_exponent) == (Fraction(3, 16), 0)
     assert len(systems) == 2 and all(len(system.blocks) == 1 for system in systems)
+
+
+@pytest.mark.parametrize(
+    "text, variables, zeros",
+    [
+        ("x^4 + y^4 + z^4 + w^4 + x^2*y^2 + y^2*z^2 + z^2*w^2", ["x", "y", "z", "w"], 0),
+        ("(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2)*(x^2 + y^2 + z^2)", ["x", "y", "z"], 12),
+    ],
+)
+def test_grid_zeros_are_evaluated_exactly_only_where_floats_cannot_decide(monkeypatch, text, variables, zeros):
+    # the float pass decides every grid point where the target is not zero;
+    # exact evaluation is left to the zeros and the face restriction at them
+    target = parse_polynomial(text, variables)
+    points = []
+    evaluate = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate", lambda self, point: points.append(tuple(point)) or evaluate(self, point))
+    system = build_reduced_system(target, Polynomial.one(len(variables)), 0, (), Grading.single(len(variables)))
+    found = system.face[0] if system.face else ()
+    assert len(found) == zeros
+    assert set(points) == set(found)

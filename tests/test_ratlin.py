@@ -101,7 +101,7 @@ _LIMITS = [s * v for s in (1.0, -1.0) for v in (2.0**-10, 2.0**9)]
 _LIMITS += [np.nextafter(v, t) for v in _LIMITS for t in (0.0, 2 * v)]
 
 
-@pytest.mark.parametrize("bound", [1, 2, 7, 10**4, 10**12, 2**43 - 1, 2**43])
+@pytest.mark.parametrize("bound", [1, 2, 7, 10**4, 2**31 - 1, 2**31, 10**12])
 def test_limit_denominators_is_the_scalar_rounding(bound):
     draws = random.Random(3)
     values = [draws.gauss(0.0, 1.0) for _ in range(5000)]
