@@ -433,7 +433,8 @@ def _sample_batches(n_vars: int, samples: int, graded: bool, seed: int):
             quarter, four = np.gcd(num, 4), np.gcd(den, 4)
             num = np.stack([num, num // quarter, 4 * num // four], axis=1).reshape(-1, n_vars)
             den = np.stack([den, 4 * den // quarter, den // four], axis=1).reshape(-1, n_vars)
-        yield from _batches(num, den)
+        for first in range(0, len(num), _PRECHECK_BATCH):
+            yield num[first : first + _PRECHECK_BATCH], den[first : first + _PRECHECK_BATCH]
     res = _GRID_RESOLUTION.get(n_vars)
     if res is not None:  # the grid (i - half)/half over the cube, the last coordinate fastest
         half = (res - 1) // 2
@@ -442,11 +443,6 @@ def _sample_batches(n_vars: int, samples: int, graded: bool, seed: int):
             offsets = np.stack(np.unravel_index(rows, (res,) * n_vars), axis=1) - half
             common = np.gcd(offsets, half)
             yield offsets // common, half // common
-
-
-def _batches(num: np.ndarray, den: np.ndarray):
-    for start in range(0, len(num), _PRECHECK_BATCH):
-        yield num[start : start + _PRECHECK_BATCH], den[start : start + _PRECHECK_BATCH]
 
 
 def _exact_points(num: np.ndarray, den: np.ndarray):
