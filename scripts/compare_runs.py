@@ -8,10 +8,11 @@ sha256 of its bytes and, in plain text, its ``blocks`` line of block sizes,
 of each problem at the exponents its mode scans first: n = 0, 1 in certify
 and epsilon-margin mode, n = 0 in check-sos mode and m = 1, 3 in odd-power
 mode.  Last, one line per ``positivity_precheck`` run, with its (negative,
-zero, kept, total): each bundled problem at seeds 0 and 7, the random
-sums of squares, and at seeds 0 and 7 an indefinite form and a polynomial
-negative only near one grid point.  Two versions of the program that print the same lines reach the same
-verdicts with byte-identical certificates and SDPs:
+zero, kept, total): each bundled problem at seeds 0 and 7, the random sums
+of squares, and at seeds 0 and 7 an indefinite form and a polynomial
+negative only near one grid point.  Two versions of the program that print
+the same lines reach the same verdicts with byte-identical certificates,
+SDPs and precheck results:
 
     PYTHONPATH=src python scripts/compare_runs.py > side.txt
 

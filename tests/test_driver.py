@@ -269,9 +269,25 @@ class TestPrecheck:
         # a list of 10^12 draws could never be built; the stream yields at once
         num, den = next(driver._sample_batches(2, 10**12, graded=False, seed=0))
         assert 4 <= len(num) <= driver._PRECHECK_BATCH
+        assert (np.gcd(num, den) == 1).all() and (den > 0).all()  # lowest terms
         v, quarter, four_v, w = (tuple(map(Fraction, num[i].tolist(), den[i].tolist())) for i in range(4))
         assert quarter == tuple(c / 4 for c in v) and four_v == tuple(4 * c for c in v)
         assert w != v
+
+    def test_only_draws_rounding_to_the_origin_are_skipped(self, monkeypatch):
+        values = iter([0.0, 0.3, 1e-6, -2e-5, 0.5, 0.25])  # the middle draw rounds to (0, 0)
+
+        class Scripted:
+            def __init__(self, seed):
+                pass
+
+            def gauss(self, mu, sigma):
+                return next(values)
+
+        monkeypatch.setattr(driver.random, "Random", Scripted)
+        num, den = next(driver._sample_batches(2, 3, graded=True, seed=0))
+        points = [tuple(map(Fraction, n, d)) for n, d in zip(num.tolist(), den.tolist())]
+        assert points == [(0, Fraction(3, 10)), (Fraction(1, 2), Fraction(1, 4))]
 
     def test_batches_still_stream(self):
         # a batch design that listed every draw would never return
