@@ -51,8 +51,9 @@ def _documents():
     for name, f, top in (("motzkin", MOTZKIN, 4), ("robinson", ROBINSON, 3)):
         for k in range(top + 1):
             yield f"{name}_g{k}", f'vars = x, y, z\nf = "({f})*({G_XYZ})^{k}"\nmode = check-sos\n'
-    for h in ("x*y", "x^2 - y^2"):
-        yield f"square_h[{h}]", f'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["{h}"]\nmode = certify\nn_max = 1\n'
+    for hs in (("x*y",), ("x^2 - y^2",), ("x*y", "x^2 - y^2")):
+        h = ", ".join(f'"{text}"' for text in hs)
+        yield f"square_h[{', '.join(hs)}]", f'vars = x, y\nf = "(x^2 - y^2)^2"\nh = [{h}]\nmode = certify\nn_max = 1\n'
     for f in ODD_POWER:
         yield f"odd[{f}]", f'vars = x, y\nf = "{f}"\nmode = odd-power\nm_max = 3\n'
     yield from _dumped()

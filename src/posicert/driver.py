@@ -5,8 +5,9 @@ For each candidate exponent the driver builds the coefficient-matching
 system its mode poses there (``exponent_system``), solves the margin SDP,
 and on numerical feasibility rounds the interior point to an exactly
 verified rational certificate.  Exact parity or support obstructions skip
-the solve, and a zero target is the empty sum without one.  Numerical verdicts are reported as evidence only; the only
-claims made are exactly verified certificates and exact infeasibility flags.
+the solve, and a zero target is the empty sum without one.  Numerical
+verdicts are reported as evidence only; the only claims made are exactly
+verified certificates and exact infeasibility flags.
 
 The margin solve runs on ``gram.build_reduced_system``'s system, whose
 product blocks are split by sign class: where the target and every
@@ -19,9 +20,9 @@ interior succeeds only when its correction stays below the margin.  The one
 solve is therefore also restricted to the face cut out by the target's real
 zeros on the grid {-1, 0, 1}^n: at such a zero z every feasible Gram matrix
 has Q_e b_e(z) = 0, so the restriction is exact and loses no certificate,
-and a boundary target is solved on its face as an interior one.  An empty face keeps the full
-system.  A borderline solve tries one denominator bound, a margin-feasible
-one the whole ladder.
+and a boundary target is solved on its face as an interior one.  An empty
+face keeps the full system.  A borderline solve tries one denominator
+bound, a margin-feasible one the whole ladder.
 """
 
 from __future__ import annotations
@@ -445,11 +446,6 @@ def _sample_batches(n_vars: int, samples: int, graded: bool, seed: int):
             yield offsets // common, half // common
 
 
-def _exact_points(num: np.ndarray, den: np.ndarray):
-    """The map from a row of a batch to its point as a tuple of Fractions."""
-    return lambda i: tuple(map(Fraction, num[i].tolist(), den[i].tolist()))
-
-
 def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -> PrecheckResult:
     """Sample for sign violations of what the mode searches: f, and g in
     certify and epsilon-margin mode, whose identities hold a power of g.
@@ -463,12 +459,12 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     ends the sampling.  In certify mode, the only one searching on the
     constraint set, points violating some h_i >= 0 are discarded.
 
-    Each sign is decided in float64 where a proven error bound decides it
-    (|value| > 2*(2*deg + n + T + 2)*2^-53 * sum |c_t*x^e_t|, T terms, plus
-    an underflow allowance, see ``poly.SignFilter``); where the bound cannot
-    decide it, at an exact zero for instance, the point is built in
-    Fractions and evaluated exactly by ``Polynomial.evaluate``.  Every sign
-    is therefore exact, and every reported value is exact: a negative
+    Each batch goes to ``poly.SignFilter`` as it is, which decides a sign in
+    float64 where a proven error bound decides it (|value| > 2*(2*deg + n +
+    T + 2)*2^-53 * sum |c_t*x^e_t|, T terms, plus an underflow allowance);
+    elsewhere, at an exact zero for instance, it builds the point in
+    Fractions and evaluates it exactly by ``Polynomial.evaluate``.  Every
+    sign is therefore exact, and every reported value is exact: a negative
     point's value is always computed by ``Polynomial.evaluate``, and the
     reported points are tuples of Fractions.  A strictly negative value is a
     genuine counterexample to the search hypothesis; an exact zero only
@@ -488,29 +484,26 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     kept = 0
     total = 0
     for num, den in _sample_batches(n, samples, graded, seed):
-        # the draws are below 9 in magnitude, so every |num| and den is below 2^53
-        # and num / den is the correctly rounded double of num/den; over Python
-        # ints (dtype object) the division rounds correctly at any size
-        xf = np.asarray(num / den, dtype=float)
-        point = _exact_points(num, den)
+        # the draws are below 9 in magnitude, so every |num| and den is below 2^53, as SignFilter requires
         feasible = (num != 0).any(axis=1)  # exactly the origin is skipped
         for h in constraints:
-            feasible &= h.signs(xf, feasible, point) >= 0
-        f_sign = f_filter.signs(xf, feasible, point)
-        g_sign = g_filter.signs(xf, feasible, point) if g_filter else np.ones(len(xf), dtype=np.int8)
+            feasible &= h.signs(num, den, feasible) >= 0
+        f_sign = f_filter.signs(num, den, feasible)
+        g_sign = g_filter.signs(num, den, feasible) if g_filter else np.ones(len(num), dtype=np.int8)
         hits = np.flatnonzero(feasible & ((f_sign < 0) | (g_sign < 0)))
-        end = hits[0] + 1 if hits.size else len(xf)  # the first negative point ends the sampling
+        end = hits[0] + 1 if hits.size else len(num)  # the first negative point ends the sampling
         total += int(end)
         kept += int(np.count_nonzero(feasible[:end]))
         if zero is None:
             zeros = np.flatnonzero(feasible[:end] & ((f_sign[:end] == 0) | (g_sign[:end] == 0)))
             if zeros.size:
                 i = zeros[0]
-                zero = (point(i), "f" if f_sign[i] == 0 else "g")
+                zero = (tuple(map(Fraction, num[i].tolist(), den[i].tolist())), "f" if f_sign[i] == 0 else "g")
         if hits.size:
             i = hits[0]
             which, poly = ("f", spec.f) if f_sign[i] < 0 else ("g", spec.g)
-            negative = (point(i), which, poly.evaluate(point(i)))
+            point = tuple(map(Fraction, num[i].tolist(), den[i].tolist()))
+            negative = (point, which, poly.evaluate(point))
             break
     warnings = ()
     if total == 0:

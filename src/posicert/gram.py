@@ -38,6 +38,7 @@ from .poly import Grading, Polynomial, SignFilter, grlex_key
 from . import ratlin
 
 MAX_CONSTRAINTS = 16
+FACE_GRID_VARS = 10  # the face's zeros are sought on {-1, 0, 1}^n up to this n: 3^10 - 1 points
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,9 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
     = 0 in each class c, so each class is restricted against its own rows.
     The zeros z != 0 are sought on {-1, 0, 1}^n, with exact signs from
     ``SignFilter``: a float pass decides most points, ``Polynomial.evaluate``
-    the rest.
+    the rest.  Those signs decide the rows: h^e(z) > 0 where each h_i with
+    e_i = 1 is, and a monomial generator x^v is prod z_i^v_i, 0 or +-1.
+    Above ``FACE_GRID_VARS`` variables no zero is sought and ``face`` is ().
     ``face`` is () when no block gains a row, (zeros, ((block, size
     before), ...)) on the face, and (zeros, ()) when the face is empty or
     infeasible and the full system of the same split blocks is kept.
@@ -363,17 +366,20 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
         return built
     target, blocks = built
     blocks = _sign_classes(target, blocks, constraints)
-    grid = [z for z in iter_product((-1, 0, 1), repeat=target.n_vars) if any(z)]
-    grid_float = np.array(grid, dtype=float)
-    on_face = SignFilter(target).signs(grid_float, np.ones(len(grid), dtype=bool), grid.__getitem__) == 0
-    for h in constraints:
-        on_face &= SignFilter(h).signs(grid_float, on_face, grid.__getitem__) >= 0
-    zeros = tuple(z for z, hit in zip(grid, on_face) if hit)
+    points = iter_product((-1, 0, 1), repeat=target.n_vars) if target.n_vars <= FACE_GRID_VARS else ()
+    grid = np.array([z for z in points if any(z)], dtype=np.int64).reshape(-1, target.n_vars)
+    on_face = SignFilter(target).signs(grid, 1, np.ones(len(grid), dtype=bool)) == 0
+    h_signs = np.zeros((len(constraints), len(grid)), dtype=np.int8)
+    for h, sign in zip(constraints, h_signs):
+        sign[:] = SignFilter(h).signs(grid, 1, on_face)
+        on_face &= sign >= 0
     face_blocks, sizes, zero = list(blocks), [], Polynomial.zero(target.n_vars)
     for b, block in enumerate(blocks):
         gens = block.generators
-        inside = [z for z in zeros if block.multiplier.evaluate(z) > 0]
-        rows = [row for z in inside if (row := {i: v for i, gen in enumerate(gens) if (v := gen.evaluate(z))})]
+        # h_signs is read only at the final zeros, which lie inside every mask passed as needed
+        inside = grid[on_face & (h_signs[np.array(block.product_index, dtype=bool)] > 0).all(axis=0)]
+        values = [np.prod(inside**ev, axis=1).tolist() for gen in gens for ev in gen.terms]
+        rows = [row for vals in zip(*values) if (row := {i: Fraction(v) for i, v in enumerate(vals) if v})]
         if rows:
             kernel = ratlin.nullspace(rows, len(gens))
             combos = (sum((c * gen for c, gen in zip(vec, gens) if c), zero) for vec in kernel)
@@ -381,6 +387,7 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
             sizes.append((b, len(gens)))
     if not sizes:
         return _assemble(target, grading, blocks)
+    zeros = tuple(map(tuple, grid[on_face].tolist()))
     if any(block.active for block in face_blocks):
         system = _assemble(target, grading, face_blocks, (zeros, tuple(sizes)))
         if isinstance(system, GramSystem):

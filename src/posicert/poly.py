@@ -7,9 +7,9 @@ bring each result to lowest terms with one gcd pass.  Instances are
 immutable and hashable; all arithmetic is exact.  The ``Fraction`` view of
 the coefficients is built when first read and cached; a float view is
 derived on demand for the numeric layers, never stored.  ``SignFilter``
-gives a polynomial's exact signs over a batch of points, deciding most in
-float64 under a proven error bound and the rest by ``Polynomial.evaluate``;
-the positivity precheck and the search for the target's grid zeros use it.
+gives a polynomial's exact signs over a batch of points, integer rows over
+denominators: it forms their float view, decides most signs there under a
+proven error bound, and evaluates the rest exactly.
 """
 
 from __future__ import annotations
@@ -374,13 +374,14 @@ class SignFilter:
         self.reach_weight = 4 * (2 * self.degree + n_vars + 2) * float(self.magnitudes.sum())
         self.slack_floor = 4 * n_terms
 
-    def signs(self, xf: np.ndarray, needed: np.ndarray, point) -> np.ndarray:
-        """The exact sign (-1, 0 or 1) at each point of a batch where
-        ``needed`` is set; entries elsewhere are meaningless.  ``xf`` is the
-        batch in float64, one row per point, each coordinate the correctly
-        rounded double of the exact one, and ``point(i)`` is the i-th point
-        in exact rationals, asked for only where the float pass cannot
-        decide."""
+    def signs(self, num: np.ndarray, den, needed: np.ndarray) -> np.ndarray:
+        """The exact sign (-1, 0 or 1) at each point of the batch num / den
+        where ``needed`` is set; entries elsewhere are meaningless.  ``num``
+        has one integer row per point, over positive ``den``, an array of its
+        shape or one integer: int64 below 2^53 in magnitude, or Python ints
+        (dtype object), so that ``num / den`` is the correctly rounded double.
+        A point is built in Fractions only where the float pass cannot decide."""
+        xf = np.asarray(num / den, dtype=float)
         sign = np.zeros(len(xf), dtype=np.int8)
         uncertain = needed
         if self.filtered:
@@ -388,8 +389,9 @@ class SignFilter:
             certain = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
             sign[certain] = np.sign(value[certain])
             uncertain = needed & ~certain
+        den = np.broadcast_to(den, num.shape)
         for i in np.flatnonzero(uncertain):
-            value = self.poly.evaluate(point(i))
+            value = self.poly.evaluate(tuple(map(Fraction, num[i].tolist(), den[i].tolist())))
             sign[i] = (value > 0) - (value < 0)
         return sign
 

@@ -437,15 +437,23 @@ _POLYNOMIALS = st.one_of(
 _POINTS = st.lists(st.tuples(_COORDINATES, _COORDINATES), min_size=1, max_size=12)
 
 
+def _exact_batch(points):
+    """Fraction points as numerators over denominators, Python ints (dtype object)."""
+    batch = [[Fraction(c) for c in p] for p in points]
+    num = np.array([[c.numerator for c in p] for p in batch], dtype=object).reshape(len(batch), -1)
+    den = np.array([[c.denominator for c in p] for p in batch], dtype=object).reshape(num.shape)
+    return num, den
+
+
 def _assert_certified_signs_are_exact(poly, points):
     batch = [tuple(p) for p in points]
-    xf = np.array(batch, dtype=float)
+    num, den = _exact_batch(batch)
     exact = np.array([(v > 0) - (v < 0) for v in map(poly.evaluate, batch)])
     sign_filter = SignFilter(poly)
-    certified = sign_filter.signs(xf, np.zeros(len(batch), dtype=bool), batch.__getitem__)
+    certified = sign_filter.signs(num, den, np.zeros(len(batch), dtype=bool))
     decided = certified != 0  # the filter never certifies a zero
     assert np.array_equal(certified[decided], exact[decided])
-    assert np.array_equal(sign_filter.signs(xf, np.ones(len(batch), dtype=bool), batch.__getitem__), exact)
+    assert np.array_equal(sign_filter.signs(num, den, np.ones(len(batch), dtype=bool)), exact)
     return decided
 
 
@@ -453,6 +461,32 @@ def _assert_certified_signs_are_exact(poly, points):
 @given(_POLYNOMIALS, _POINTS)
 def test_certified_sign_is_the_exact_sign(poly, points):
     _assert_certified_signs_are_exact(poly, points)
+
+
+_SMALL_POINTS = st.lists(
+    st.tuples(st.integers(-(10**4), 10**4), st.integers(-(10**4), 10**4), st.integers(1, 10**4)),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_POLYNOMIALS, _SMALL_POINTS)
+def test_batch_forms_give_equal_signs(poly, rows):
+    # int64 and dtype-object batches, and one integer den and an array of it,
+    # give one float view and so the same certified and exact signs
+    num = np.array([(x, y) for x, y, _ in rows], dtype=np.int64)
+    den = np.array([(d, d) for _, _, d in rows], dtype=np.int64)
+    same = den[:, 0] == den[0, 0]
+    sign_filter = SignFilter(poly)
+    for needed in (np.zeros(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)):
+        signs = sign_filter.signs(num, den, needed)
+        assert np.array_equal(sign_filter.signs(num.astype(object), den.astype(object), needed), signs)
+        common = sign_filter.signs(num[same], int(den[0, 0]), needed[same])
+        assert np.array_equal(common, signs[same])
+        assert np.array_equal(sign_filter.signs(num, 1, needed), sign_filter.signs(num, np.ones_like(num), needed))
+    exact = [poly.evaluate((Fraction(x, d), Fraction(y, d))) for x, y, d in rows]
+    assert np.array_equal(signs, [(v > 0) - (v < 0) for v in exact])  # the last pass needed every point
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,14 @@
 """Basis construction, pruning, and coefficient-matching assembly."""
 
 import dataclasses
+import itertools
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from posicert import driver, sdp
+from posicert import driver, gram, sdp
 from posicert.exact import project_to_constraints
 from posicert.gram import (
     GramSystem,
@@ -397,3 +398,81 @@ def test_grid_zeros_are_evaluated_exactly_only_where_floats_cannot_decide(monkey
     found = system.face[0] if system.face else ()
     assert len(found) == zeros
     assert set(points) == set(found)
+    assert len(points) == zeros  # one per zero, the target's own; the face rows read the grid's signs
+
+
+ROBINSON = (
+    "x^6 + y^6 + z^6 - x^4*y^2 - x^2*y^4 - x^4*z^2 - x^2*z^4 - y^4*z^2 - y^2*z^4 + 3*x^2*y^2*z^2"
+)
+
+
+def _reference_face(f, g, n, constraints, grading):
+    """The split blocks and the face by exact evaluation everywhere: the
+    grid's signs, each multiplier and each generator by Polynomial.evaluate
+    at each zero.  Returns (split blocks, face blocks, zeros, sizes)."""
+    target, blocks = gram._blocks(f, g, n, constraints, grading, prune=True)
+    blocks = gram._sign_classes(target, blocks, constraints)
+    zeros = tuple(
+        z
+        for z in itertools.product((-1, 0, 1), repeat=target.n_vars)
+        if any(z) and target.evaluate(z) == 0 and all(h.evaluate(z) >= 0 for h in constraints)
+    )
+    face_blocks, sizes = list(blocks), []
+    for b, block in enumerate(blocks):
+        gens = block.generators
+        inside = [z for z in zeros if block.multiplier.evaluate(z) > 0]
+        rows = [row for z in inside if (row := {i: v for i, gen in enumerate(gens) if (v := gen.evaluate(z))})]
+        if rows:
+            kernel = ratlin.nullspace(rows, len(gens))
+            combos = (sum((c * gen for c, gen in zip(vec, gens) if c), Polynomial.zero(target.n_vars)) for vec in kernel)
+            face_blocks[b] = dataclasses.replace(block, generators=tuple(combos))
+            sizes.append((b, len(gens)))
+    return blocks, tuple(face_blocks), zeros, tuple(sizes)
+
+
+def _face_cases():
+    motzkin = parse_polynomial(MOTZKIN, XYZ)
+    g_xyz = sum_of_squared_variables(3)
+    for k in (1, 2, 3):
+        yield pytest.param(motzkin, g_xyz, k, (), id=f"motzkin_g{k}")
+    yield pytest.param(parse_polynomial(ROBINSON, XYZ), g_xyz, 1, (), id="robinson_g1")
+    square = parse_polynomial("(x^2 - y^2)^2", XY)
+    for hs in (["x*y"], ["x^2 - y^2"], ["x*y", "x^2 - y^2"]):
+        for n in (0, 1):
+            h = tuple(parse_polynomial(text, XY) for text in hs)
+            yield pytest.param(square, sum_of_squared_variables(2), n, h, id=f"square_h[{', '.join(hs)}]_n{n}")
+
+
+@pytest.mark.parametrize("f, g, n, constraints", _face_cases())
+def test_face_rows_match_exact_evaluation(f, g, n, constraints):
+    grading = Grading.single(f.n_vars)
+    blocks, face_blocks, zeros, sizes = _reference_face(f, g, n, constraints, grading)
+    system = build_reduced_system(f, g, n, constraints, grading)
+    assert sizes  # every case has a face
+    assert system.face[0] == zeros
+    if system.face[1]:
+        assert (system.blocks, system.face[1]) == (face_blocks, sizes)
+    else:  # an empty or infeasible face keeps the split blocks
+        assert system.blocks == blocks
+
+
+class TestFaceGridBound:
+    def test_many_variables_skip_the_grid(self):
+        # 3^20 - 1 grid points would not fit in memory; the face is not sought
+        n_vars = 20
+        f = sum_of_squared_variables(n_vars)
+        system = build_reduced_system(f, Polynomial.one(n_vars), 0, (), Grading.single(n_vars))
+        assert isinstance(system, GramSystem) and system.face == ()
+        spec = parse_problem(f"vars = {', '.join(f'x{i}' for i in range(n_vars))}\nf = \"{f}\"\nmode = check-sos\n")
+        report = driver.certify(spec)
+        assert report.outcome == driver.OUTCOME_CERTIFICATE
+
+    def test_boundary_target_at_the_bound_is_restricted(self):
+        n_vars = gram.FACE_GRID_VARS
+        variables = [f"x{i}" for i in range(n_vars)]
+        f = parse_polynomial("(x0 - x1)^2 + " + " + ".join(f"{v}^2" for v in variables[2:]), variables)
+        system = build_reduced_system(f, Polynomial.one(n_vars), 0, (), Grading.single(n_vars))
+        zeros, sizes = system.face
+        assert set(zeros) == {(1, 1) + (0,) * (n_vars - 2), (-1, -1) + (0,) * (n_vars - 2)}
+        (b, before), = sizes
+        assert before == 2 and system.blocks[b].generators == (parse_polynomial("x0 - x1", variables),)
