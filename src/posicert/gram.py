@@ -376,7 +376,7 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
     face_blocks, sizes, zero = list(blocks), [], Polynomial.zero(target.n_vars)
     for b, block in enumerate(blocks):
         gens = block.generators
-        # h_signs is read only at the final zeros, which lie inside every mask passed as needed
+        # h_signs is read only at the final zeros, inside every mask passed; Fraction rows keep ratlin exact
         inside = grid[on_face & (h_signs[np.array(block.product_index, dtype=bool)] > 0).all(axis=0)]
         values = [np.prod(inside**ev, axis=1).tolist() for gen in gens for ev in gen.terms]
         rows = [row for vals in zip(*values) if (row := {i: Fraction(v) for i, v in enumerate(vals) if v})]
