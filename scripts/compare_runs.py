@@ -41,6 +41,7 @@ ROBINSON = (
 )
 G_XYZ = "x^2 + y^2 + z^2"
 ODD_POWER = ("x^2 + y^2", "x^2*y^2*(x^2 + y^2 - 1)^2 + 1/100", "x^4 + x^3", "x^4 + y^4 + x^2*y^2 - x*y^3")
+MIXED_H = '"1", "x + 2", "x^2 + y^2 - 1", "x*y + 3"'  # not graded, of degrees 0, 1, 2, 2
 CHECK_SOS_WITH_H = 'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["x*y"]\nmode = check-sos\n'
 FIRST_EXPONENTS = {"certify": (0, 1), "check-sos": (0,), "odd-power": (1, 3), "epsilon-margin": (0, 1)}
 SEARCHES = {"certify": pc.certify, "check-sos": pc.certify, "odd-power": pc.odd_power, "epsilon-margin": pc.epsilon_margin}
@@ -54,6 +55,9 @@ def _documents():
     for hs in (("x*y",), ("x^2 - y^2",), ("x*y", "x^2 - y^2")):
         h = ", ".join(f'"{text}"' for text in hs)
         yield f"square_h[{', '.join(hs)}]", f'vars = x, y\nf = "(x^2 - y^2)^2"\nh = [{h}]\nmode = certify\nn_max = 1\n'
+    many = ", ".join(f'"x^2 + {i}*y^2 + 1"' for i in range(1, 13))  # 79 of the 2^12 products have a basis
+    yield "many_h[12]", f'vars = x, y\nf = "x^4 + y^4 + 1"\nh = [{many}]\nmode = certify\nn_max = 0\n'
+    yield "mixed_h", f'vars = x, y\nf = "x^4 + y^4 + 1"\nh = [{MIXED_H}]\nmode = certify\nn_max = 1\n'
     for f in ODD_POWER:
         yield f"odd[{f}]", f'vars = x, y\nf = "{f}"\nmode = odd-power\nm_max = 3\n'
     yield from _dumped()

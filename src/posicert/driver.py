@@ -51,7 +51,7 @@ from .gram import (
     build_reduced_system,
 )
 from .parsing import ProblemSpec
-from .poly import Polynomial, SignFilter
+from .poly import SignFilter
 from .ratlin import limit_denominator, limit_denominators
 
 DEFAULT_DENOMINATOR_BOUNDS = (10**2, 10**4, 10**8, 10**12)
@@ -118,9 +118,7 @@ def system_to_sdp(system: GramSystem, column: Optional[dict] = None) -> sdp.SdpP
     constraint tensor would take more than SDP_TENSOR_BYTES is refused with
     a ValueError before anything is allocated.
     """
-    active = system.active_indices
-    dims = tuple(system.block_dim(b) for b in active)
-    position = {b: i for i, b in enumerate(active)}
+    dims = tuple(len(block.generators) for block in system.blocks)
     rows = system.independent
     m = len(rows)
     if 8 * m * sum(d * d for d in dims) > SDP_TENSOR_BYTES:
@@ -133,7 +131,7 @@ def system_to_sdp(system: GramSystem, column: Optional[dict] = None) -> sdp.SdpP
         for col, v in system.rows[row_idx].items():
             b, i, j = system.unknown_layout[col]
             value = float(v) if i == j else float(v) / 2  # rows hold 2c off the diagonal; halving is exact
-            a_blocks[position[b]][k, i, j] = a_blocks[position[b]][k, j, i] = value
+            a_blocks[b][k, i, j] = a_blocks[b][k, j, i] = value
     if column is None:
         c_vec = sum((np.trace(t, axis1=1, axis2=2) for t in a_blocks), np.zeros(m))
     else:
@@ -151,11 +149,8 @@ def system_to_sdp(system: GramSystem, column: Optional[dict] = None) -> sdp.SdpP
 
 
 def _gram_float(system: GramSystem, solution: sdp.SdpSolution, shift: float) -> dict:
-    """Q = X + shift*I per active block, as float matrices."""
-    out = {}
-    for pos, b in enumerate(system.active_indices):
-        out[b] = solution.x_blocks[pos] + shift * np.eye(system.block_dim(b))
-    return out
+    """Q = X + shift*I per block, as float matrices."""
+    return {b: x + shift * np.eye(len(x)) for b, x in enumerate(solution.x_blocks)}
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +188,7 @@ def exponent_system(spec: ProblemSpec, exponent: int):
     if spec.mode == "epsilon-margin":
         # no unknown of this monomial system is in two rows, so every row is
         # independent, with or without the column, and all of them are posed
-        one = Polynomial.one(len(spec.variables))
-        system = build_gram_system(spec.f * spec.g ** (exponent + 1), one, 0, (), spec.grading)
+        system = build_gram_system(spec.f, spec.g, exponent + 1, (), spec.grading)
         if not isinstance(system, GramSystem):
             return system, None
         eps_poly = spec.g**exponent * (spec.h_margin * spec.h_margin)
@@ -215,7 +209,7 @@ def _round_and_certify(system, q_float, bounds, variables, identity, margin_valu
     attempts = 0
     for bound in bounds:
         attempts += 1
-        q_rat = {b: round_to_rational(q_float[b], bound) for b in system.active_indices}
+        q_rat = {b: round_to_rational(q, bound) for b, q in q_float.items()}
         try:
             q_proj = project_to_constraints(q_rat, system)
         except InconsistentSystemError as exc:
@@ -264,7 +258,7 @@ def _attempt(spec: ProblemSpec, exponent: int, options: SearchOptions):
     note = ""
     if system.face:
         zeros, sizes = system.face
-        sizes = ", ".join(f"{before} -> {system.block_dim(b)}" for b, before in sizes)
+        sizes = ", ".join(f"{before} -> {after}" for before, after in sizes)
         note = f"face-restricted at {len(zeros)} zeros, block sizes {sizes}" if sizes else "face restriction infeasible"
     if solution.status in (MARGIN_NEGATIVE, MAX_ITERATIONS):
         return ScanRecord(exponent, solution.status, t_star=solution.t_star, note=note), None

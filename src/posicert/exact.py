@@ -63,7 +63,7 @@ def round_to_rational(matrix, denominator_bound: int):
 def project_to_constraints(q_matrices: Mapping, system: GramSystem):
     """Exact Frobenius-orthogonal projection onto the affine solution set.
 
-    q_matrices maps active block index -> symmetric rational matrix.  The
+    q_matrices maps block index -> symmetric rational matrix.  The
     normal equations of the independent rows are solved exactly; two rows
     meet in the normal matrix only through the unknowns they share, so it
     is summed unknown by unknown.  The output satisfies every constraint of
@@ -324,16 +324,15 @@ def certificate_from_gram(
     margin: Optional[float] = None,
     denominator_bound: Optional[int] = None,
 ) -> Optional[Certificate]:
-    """LDL' every active block and assemble a Certificate, or None if any
+    """LDL' every block and assemble a Certificate, or None if any
     block matrix is not PSD.  The squares of the blocks of one product index
     (its sign classes) form one certificate block."""
     by_index = {}  # product index -> its squares, in block order
-    for b_idx in system.active_indices:
+    for b_idx, block in enumerate(system.blocks):
         factored = exact_ldlt(q_matrices[b_idx])
         if factored is None:
             return None
         lower, diag = factored
-        block = system.blocks[b_idx]
         by_index.setdefault(block.product_index, []).extend(combine_squares(lower, diag, block.generators))
     cert_blocks = []
     for product_index, squares in by_index.items():

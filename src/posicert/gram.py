@@ -18,8 +18,9 @@ rows over the flattened Gram unknowns, off-diagonal coefficients doubled,
 which the row reduction, the SDP assembly and the exact projection all
 read.
 
-Blocks whose required basis degree is odd or negative in some grading block
-have no generators and are inactive.  All blocks inactive is a parity
+A product index whose required basis degree is odd or negative in some
+grading block has no generators, and the system holds no block for it; its
+multiplier is never formed.  No index with a basis is a parity
 obstruction; a target monomial no product can reach is a support
 obstruction.  Both are exact infeasibility certificates and are flagged
 before any numeric work.
@@ -30,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -63,27 +65,23 @@ class GramBlock:
     Gram matrix Q^(e) the block carries.  They are monomials, grlex sorted,
     or on a face rational combinations of them.  Split by sign class, one
     product index has several blocks, one per class, each with the product
-    index and multiplier.  A block without generators is inactive."""
+    index and multiplier.  A system holds no block without generators."""
 
     product_index: tuple  # e in {0,1}^r
     multiplier: Polynomial  # h_1^{e_1} ... h_r^{e_r}
     generators: tuple  # Polynomial per Gram row
-
-    @property
-    def active(self) -> bool:
-        return bool(self.generators)
 
 
 @dataclass(frozen=True, eq=False)
 class GramSystem:
     """Assembled coefficient-matching system for one target, built once.
 
-    The unknowns are the upper triangles of the active blocks' Gram
-    matrices, flattened as `unknown_layout`.  Row k matches the coefficient
-    of `monomials[k]`: a sparse dict over layout positions with
-    off-diagonal coefficients doubled, so it reads
-    sum_i c_ii q_ii + 2 sum_{i<j} c_ij q_ij = rhs[k].  This is the one row
-    format; the rows are shared, so no caller may mutate one.
+    The unknowns are the upper triangles of the blocks' Gram matrices,
+    flattened as `unknown_layout`; a block's index is its position in the
+    SDP.  Row k matches the coefficient of `monomials[k]`: a sparse dict
+    over layout positions with off-diagonal coefficients doubled, so it
+    reads sum_i c_ii q_ii + 2 sum_{i<j} c_ij q_ij = rhs[k].  This is the one
+    row format; the rows are shared, so no caller may mutate one.
     """
 
     target: Polynomial
@@ -94,7 +92,7 @@ class GramSystem:
     rows: tuple  # dict: layout position -> coefficient
     rhs: tuple  # the target's coefficient of each row's monomial
     independent: tuple  # indices of an independent consistent subset of rows
-    face: tuple = ()  # (zeros, ((block, size before), ...)) of build_reduced_system, or ()
+    face: tuple = ()  # (zeros, ((size before, size after), ...)) of build_reduced_system, or ()
 
     @property
     def n_vars(self) -> int:
@@ -102,7 +100,8 @@ class GramSystem:
 
     @property
     def active_indices(self) -> list:
-        return [i for i, b in enumerate(self.blocks) if b.active]
+        """Every block's index: a system holds no block without generators."""
+        return list(range(len(self.blocks)))
 
     def block_dim(self, block_index: int) -> int:
         return len(self.blocks[block_index].generators)
@@ -112,7 +111,7 @@ class GramSystem:
         return [Fraction(1) if i == j else Fraction(2) for (_, i, j) in self.unknown_layout]
 
     def flatten(self, matrices: Mapping) -> list:
-        """Upper triangles of per-active-block matrices as one vector."""
+        """Upper triangles of per-block matrices as one vector."""
         vec = []
         for (b, i, j) in self.unknown_layout:
             vec.append(Fraction(matrices[b][i][j]))
@@ -121,8 +120,8 @@ class GramSystem:
     def unflatten(self, vector: Sequence) -> dict:
         """Inverse of flatten; returns full symmetric matrices."""
         out = {}
-        for b in self.active_indices:
-            d = self.block_dim(b)
+        for b, block in enumerate(self.blocks):
+            d = len(block.generators)
             out[b] = [[Fraction(0)] * d for _ in range(d)]
         for (b, i, j), v in zip(self.unknown_layout, vector):
             out[b][i][j] = Fraction(v)
@@ -247,7 +246,9 @@ def _assemble(target: Polynomial, grading: Grading, blocks, face: tuple = ()):
 
 def _blocks(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading, prune: bool):
     """The target f*g^n and one block of monomial generators per product
-    index, or ParityInfeasible when no block has any."""
+    index whose required degree leaves a basis, or ParityInfeasible when no
+    index does.  Degrees add under products, so h^e is formed only for an
+    index that keeps a block."""
     r = len(constraints)
     if r > MAX_CONSTRAINTS:
         raise ValueError(f"at most {MAX_CONSTRAINTS} constraints supported, got {r}")
@@ -260,27 +261,21 @@ def _blocks(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading,
         not h.is_zero() and h.multidegree(grading) is not None for h in constraints
     )
 
-    multipliers, candidates = [], []  # per product index; candidates are exponent tuples
+    degree = (lambda p: p.multidegree(grading)) if graded else (lambda p: (p.total_degree(),))
+    target_degree, h_degrees = degree(target), [degree(h) for h in constraints]
+    chosen = []  # (e, multiplier, basis) per product index with a basis; basis holds exponent tuples
     for e in iter_product((0, 1), repeat=r):
-        multiplier = Polynomial.one(n_vars)
-        for h, e_i in zip(constraints, e):
-            if e_i:
-                multiplier = multiplier * h
+        need = [dt - sum(d[k] for d, e_i in zip(h_degrees, e) if e_i) for k, dt in enumerate(target_degree)]
         if graded:
-            need = tuple(
-                dt - dm
-                for dt, dm in zip(target.multidegree(grading), multiplier.multidegree(grading))
-            )
             even = all(d >= 0 and d % 2 == 0 for d in need)
             basis = exact_degree_monomials(grading, [d // 2 for d in need]) if even else []
         else:
-            slack = target.total_degree() - multiplier.total_degree()
-            basis = monomials_up_to(n_vars, (slack + 1) // 2) if slack >= 0 else []
-        multipliers.append(multiplier)
-        candidates.append(basis)
+            basis = monomials_up_to(n_vars, (need[0] + 1) // 2) if need[0] >= 0 else []
+        if basis:
+            factors = (h for h, e_i in zip(constraints, e) if e_i)
+            chosen.append((e, prod(factors, start=Polynomial.one(n_vars)), basis))
 
-    active_idx = [i for i, basis in enumerate(candidates) if basis]
-    if not active_idx:
+    if not chosen:
         kind = "per-block degrees" if graded else "total degrees"
         return ParityInfeasible(
             reason=f"every product block has an odd or negative required basis degree ({kind})"
@@ -288,13 +283,13 @@ def _blocks(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading,
 
     # Diagonal pruning is sound only when a single multiplier-one block
     # contributes, so each diagonal entry owns its squared monomial's row.
-    only = active_idx[0]
-    if prune and len(active_idx) == 1 and multipliers[only] == Polynomial.one(n_vars):
-        candidates[only] = prune_basis(candidates[only], target.support())
+    if prune and len(chosen) == 1 and chosen[0][1] == Polynomial.one(n_vars):
+        e, multiplier, basis = chosen[0]
+        chosen = [(e, multiplier, prune_basis(basis, target.support()))]
 
     blocks = tuple(
         GramBlock(e, multiplier, tuple(Polynomial.monomial(n_vars, ev) for ev in basis))
-        for e, multiplier, basis in zip(iter_product((0, 1), repeat=r), multipliers, candidates)
+        for e, multiplier, basis in chosen
     )
     return target, blocks
 
@@ -321,8 +316,7 @@ def build_gram_system(
 def _sign_classes(target: Polynomial, blocks, constraints) -> tuple:
     """Every block split by the parity of its monomials on S, the variables
     in which every exponent of the target and of every h_i is even; the
-    classes of one block take its place in sorted parity order, and an
-    inactive block stays one block.
+    classes of one block take its place in sorted parity order.
 
     The problem is invariant under x_i -> -x_i for i in S, so averaging a
     Gram matrix over those sign changes keeps it feasible and PSD and zeroes
@@ -337,7 +331,7 @@ def _sign_classes(target: Polynomial, blocks, constraints) -> tuple:
         for gen in block.generators:
             (ev,) = gen.terms
             classes.setdefault(tuple(ev[i] % 2 for i in even), []).append(gen)
-        split.extend([replace(block, generators=tuple(classes[key])) for key in sorted(classes)] or [block])
+        split.extend(replace(block, generators=tuple(classes[key])) for key in sorted(classes))
     return tuple(split)
 
 
@@ -357,9 +351,11 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
     the rest.  Those signs decide the rows: h^e(z) > 0 where each h_i with
     e_i = 1 is, and a monomial generator x^v is prod z_i^v_i, 0 or +-1.
     Above ``FACE_GRID_VARS`` variables no zero is sought and ``face`` is ().
-    ``face`` is () when no block gains a row, (zeros, ((block, size
-    before), ...)) on the face, and (zeros, ()) when the face is empty or
-    infeasible and the full system of the same split blocks is kept.
+    ``face`` is () when no block gains a row, (zeros, ((size before, size
+    after), ...)) on the face, one pair per block with a row in block order,
+    and (zeros, ()) when the face is empty or infeasible and the full system
+    of the same split blocks is kept.  A block the face empties leaves the
+    system.
     """
     built = _blocks(f, g, n, constraints, grading, prune=True)
     if isinstance(built, ParityInfeasible):
@@ -373,8 +369,8 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
     for h, sign in zip(constraints, h_signs):
         sign[:] = SignFilter(h).signs(grid, 1, on_face)
         on_face &= sign >= 0
-    face_blocks, sizes, zero = list(blocks), [], Polynomial.zero(target.n_vars)
-    for b, block in enumerate(blocks):
+    face_blocks, sizes, zero = [], [], Polynomial.zero(target.n_vars)
+    for block in blocks:
         gens = block.generators
         # h_signs is read only at the final zeros, inside every mask passed; Fraction rows keep ratlin exact
         inside = grid[on_face & (h_signs[np.array(block.product_index, dtype=bool)] > 0).all(axis=0)]
@@ -382,13 +378,14 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
         rows = [row for vals in zip(*values) if (row := {i: Fraction(v) for i, v in enumerate(vals) if v})]
         if rows:
             kernel = ratlin.nullspace(rows, len(gens))
-            combos = (sum((c * gen for c, gen in zip(vec, gens) if c), zero) for vec in kernel)
-            face_blocks[b] = replace(block, generators=tuple(combos))
-            sizes.append((b, len(gens)))
+            gens = tuple(sum((c * gen for c, gen in zip(vec, gens) if c), zero) for vec in kernel)
+            sizes.append((len(block.generators), len(gens)))
+        if gens:
+            face_blocks.append(replace(block, generators=gens))
     if not sizes:
         return _assemble(target, grading, blocks)
     zeros = tuple(map(tuple, grid[on_face].tolist()))
-    if any(block.active for block in face_blocks):
+    if face_blocks:
         system = _assemble(target, grading, face_blocks, (zeros, tuple(sizes)))
         if isinstance(system, GramSystem):
             return system
@@ -398,8 +395,8 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
 def reconstruct(system: GramSystem, matrices: Mapping) -> Polynomial:
     """Expand sum_e (b_e' Q^(e) b_e) * m_e exactly for the given matrices."""
     total = Polynomial.zero(system.n_vars)
-    for b_idx in system.active_indices:
-        gens = system.blocks[b_idx].generators
+    for b_idx, block in enumerate(system.blocks):
+        gens = block.generators
         d = len(gens)
         q = matrices[b_idx]
         if len(q) != d or any(len(row) != d for row in q):
@@ -410,5 +407,5 @@ def reconstruct(system: GramSystem, matrices: Mapping) -> Polynomial:
                 c = Fraction(q[i][j])
                 if c:
                     s = s + c * (gens[i] * gens[j])
-        total = total + s * system.blocks[b_idx].multiplier
+        total = total + s * block.multiplier
     return total

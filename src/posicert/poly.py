@@ -330,6 +330,10 @@ class Polynomial:
 
 _UNIT_ROUNDOFF = 2.0**-53
 _SMALLEST_NORMAL = 2.0**-1022
+# The float pass holds a terms x points monomial table, twice; a batch is
+# passed in slices of at most this many entries (32 MB of float64), so a
+# large polynomial over a whole grid stays in bounded memory.
+FLOAT_PASS_ENTRIES = 2**22
 
 
 class SignFilter:
@@ -383,12 +387,15 @@ class SignFilter:
         A point is built in Fractions only where the float pass cannot decide."""
         xf = np.asarray(num / den, dtype=float)
         sign = np.zeros(len(xf), dtype=np.int8)
-        uncertain = needed
+        uncertain = np.array(needed, dtype=bool)
         if self.filtered:
-            value, bound = self._float_pass(xf)
-            certain = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
-            sign[certain] = np.sign(value[certain])
-            uncertain = needed & ~certain
+            step = max(1, FLOAT_PASS_ENTRIES // len(self.exponents))
+            for start in range(0, len(xf), step):
+                part = slice(start, start + step)
+                value, bound = self._float_pass(xf[part])
+                certain = np.isfinite(value) & np.isfinite(bound) & (np.abs(value) > bound)
+                sign[part][certain] = np.sign(value[certain])
+                uncertain[part] &= ~certain
         den = np.broadcast_to(den, num.shape)
         for i in np.flatnonzero(uncertain):
             value = self.poly.evaluate(tuple(map(Fraction, num[i].tolist(), den[i].tolist())))

@@ -550,8 +550,8 @@ class TestKernelRestriction:
         assert isinstance(reduced, GramSystem)
         _, sizes = reduced.face
         # the full basis of 9, split into its four sign classes, each restricted
-        assert sizes == ((0, 2), (1, 2), (2, 2), (3, 3))
-        assert sum(before for _, before in sizes) == system.block_dim(0)
+        assert sizes == ((2, 1), (2, 1), (2, 1), (3, 2))
+        assert sum(before for before, _ in sizes) == system.block_dim(0)
         assert [reduced.block_dim(b) for b in range(4)] == [1, 1, 1, 2]
         reduced_solution = sdp.solve(system_to_sdp(reduced), 1e-8, 100)
         assert reduced_solution.status == sdp.MARGIN_FEASIBLE
@@ -567,9 +567,9 @@ class TestKernelRestriction:
         zeros, sizes = system.face
         assert list(zeros) == [z for z in GRID if system.target.evaluate(z) == 0]
         assert len(zeros) == 12
-        assert [b for b, _ in sizes] == [0, 1, 2, 3]
-        assert sum(size for _, size in sizes) == build_gram_system(f, g, n, (), Grading.single(3)).block_dim(0)
-        assert (sum(size for _, size in sizes), sum(system.block_dim(b) for b, _ in sizes)) == (before, after)
+        assert [after for _, after in sizes] == [system.block_dim(b) for b in range(4)]
+        assert sum(size for size, _ in sizes) == build_gram_system(f, g, n, (), Grading.single(3)).block_dim(0)
+        assert (sum(size for size, _ in sizes), sum(size for _, size in sizes)) == (before, after)
         assert all(gen.evaluate(z) == 0 for block in system.blocks for gen in block.generators for z in zeros)
 
     def test_robinson_certifies_on_its_face(self):
@@ -624,17 +624,16 @@ class TestKernelRestriction:
         zeros, sizes = system.face
         assert zeros == ((-1, -1), (1, 1))
         full = build_gram_system(f, one, 0, (h,), Grading.single(2))
-        assert [b for b, _ in sizes] == full.active_indices  # both multipliers are 1 there
+        assert [before for before, _ in sizes] == [len(block.generators) for block in full.blocks]  # both multipliers are 1 there
         # x^2 - y^2 vanishes at all four zeros: its blocks keep their
-        # generators, and only the two sign classes of multiplier 1 shrink
+        # generators, and only the two sign classes of multiplier 1 shrink,
+        # the class of x*y to nothing, so it leaves the system
         h = parse_polynomial("x^2 - y^2", XY)
         system = build_reduced_system(f, one, 0, (h,), Grading.single(2))
         zeros, sizes = system.face
         assert len(zeros) == 4
-        assert [(system.blocks[b].multiplier, before, system.block_dim(b)) for b, before in sizes] == [
-            (one, 2, 1),
-            (one, 1, 0),
-        ]
+        assert sizes == ((2, 1), (1, 0))
+        assert [(block.multiplier, len(block.generators)) for block in system.blocks] == [(one, 1), (h, 1), (h, 1)]
 
 
 def _stub_solution(status, t_star):

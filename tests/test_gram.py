@@ -2,8 +2,10 @@
 
 import dataclasses
 import itertools
+import math
 import pathlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -297,12 +299,60 @@ def test_active_blocks_match_degree_obstruction():
         if not isinstance(out, GramSystem):
             continue
         target = f * g
-        for block in out.blocks:
+        expected = []  # the product indices whose multiplier leaves an even, nonnegative degree
+        for e in itertools.product((0, 1), repeat=len(h)):
+            multiplier = h[0] if e[0] else Polynomial.one(2)
             need = tuple(
-                dt - dm for dt, dm in zip(target.multidegree(grading), block.multiplier.multidegree(grading))
+                dt - dm for dt, dm in zip(target.multidegree(grading), multiplier.multidegree(grading))
             )
-            expected = all(d >= 0 and d % 2 == 0 for d in need)
-            assert block.active == expected
+            if all(d >= 0 and d % 2 == 0 for d in need):
+                expected.append(e)
+        assert [block.product_index for block in out.blocks] == expected
+        assert all(block.generators for block in out.blocks)
+
+
+def test_multipliers_are_formed_only_where_degrees_leave_a_basis(monkeypatch):
+    # x^4 + y^4 + 1 under h_i = x^2 + i*y^2 + 1 is not graded: of the 2^12
+    # product indices the 79 with at most two factors have a basis, and
+    # forming only their multipliers takes 12 + 2*66 products (and one for
+    # the target), not the 12 * 2^11 of every product h^e
+    f = parse_polynomial("x^4 + y^4 + 1", XY)
+    constraints = tuple(parse_polynomial(f"x^2 + {i}*y^2 + 1", XY) for i in range(1, 13))
+    expected = [e for e in itertools.product((0, 1), repeat=12) if sum(e) <= 2]
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda self, other: products.append(1) or mul(self, other))
+    target, blocks = gram._blocks(f, Polynomial.one(2), 0, constraints, Grading.single(2), prune=True)
+    assert len(products) <= 1 + sum(map(sum, expected)) == 145
+    monkeypatch.undo()
+    assert [block.product_index for block in blocks] == expected
+    for block in blocks:
+        assert block.multiplier == math.prod((h for h, e_i in zip(constraints, block.product_index) if e_i), start=Polynomial.one(2))
+        assert len(block.generators) == len(monomials_up_to(2, (4 - 2 * sum(block.product_index) + 1) // 2))
+    system = build_reduced_system(f, Polynomial.one(2), 0, constraints, Grading.single(2))
+    assert sorted({block.product_index for block in system.blocks}) == expected
+
+
+def _built_systems():
+    """Every system the search builds first for the bundled problems, and
+    the square under h = x^2 - y^2 at n = 0 and 1, whose face empties a block."""
+    for path in sorted(PROBLEMS.glob("*.txt")):
+        spec = parse_problem(path.read_text())
+        for exponent in {"certify": (0, 1), "check-sos": (0,), "odd-power": (1, 3), "epsilon-margin": (0, 1)}[spec.mode]:
+            yield pytest.param(lambda spec=spec, exponent=exponent: driver.exponent_system(spec, exponent)[0], id=f"{path.stem}_{exponent}")
+    square = parse_polynomial("(x^2 - y^2)^2", XY)
+    hs = (parse_polynomial("x^2 - y^2", XY),)
+    for n in (0, 1):
+        yield pytest.param(lambda n=n: build_reduced_system(square, sum_of_squared_variables(2), n, hs, Grading.single(2)), id=f"square_n{n}")
+
+
+@pytest.mark.parametrize("build", _built_systems())
+def test_no_built_system_holds_an_empty_block(build):
+    system = build()
+    if not isinstance(system, GramSystem):
+        return
+    assert all(block.generators for block in system.blocks)
+    assert system.active_indices == list(range(len(system.blocks)))
 
 
 MOTZKIN = "x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2"
@@ -355,7 +405,7 @@ class TestSignClasses:
                     assert all(ev[i] % 2 == 0 for ev in (a * b).terms for i in even)
         # the classes before the face partition the pruned basis
         pruned = build_gram_system(target, one, 0, (), grading).block_dim(0)
-        before = [size for _, size in system.face[1]] if system.face else [len(b.generators) for b in system.blocks]
+        before = [size for size, _ in system.face[1]] if system.face else [len(b.generators) for b in system.blocks]
         assert sum(before) == pruned
         # an exact solution of the split rows reproduces the target
         identity = {
@@ -409,7 +459,8 @@ ROBINSON = (
 def _reference_face(f, g, n, constraints, grading):
     """The split blocks and the face by exact evaluation everywhere: the
     grid's signs, each multiplier and each generator by Polynomial.evaluate
-    at each zero.  Returns (split blocks, face blocks, zeros, sizes)."""
+    at each zero.  Returns (split blocks, face blocks, zeros, sizes), with
+    the blocks the face empties left out of the face blocks."""
     target, blocks = gram._blocks(f, g, n, constraints, grading, prune=True)
     blocks = gram._sign_classes(target, blocks, constraints)
     zeros = tuple(
@@ -417,16 +468,19 @@ def _reference_face(f, g, n, constraints, grading):
         for z in itertools.product((-1, 0, 1), repeat=target.n_vars)
         if any(z) and target.evaluate(z) == 0 and all(h.evaluate(z) >= 0 for h in constraints)
     )
-    face_blocks, sizes = list(blocks), []
-    for b, block in enumerate(blocks):
+    face_blocks, sizes = [], []
+    for block in blocks:
         gens = block.generators
         inside = [z for z in zeros if block.multiplier.evaluate(z) > 0]
         rows = [row for z in inside if (row := {i: v for i, gen in enumerate(gens) if (v := gen.evaluate(z))})]
-        if rows:
-            kernel = ratlin.nullspace(rows, len(gens))
-            combos = (sum((c * gen for c, gen in zip(vec, gens) if c), Polynomial.zero(target.n_vars)) for vec in kernel)
-            face_blocks[b] = dataclasses.replace(block, generators=tuple(combos))
-            sizes.append((b, len(gens)))
+        if not rows:
+            face_blocks.append(block)
+            continue
+        kernel = ratlin.nullspace(rows, len(gens))
+        combos = (sum((c * gen for c, gen in zip(vec, gens) if c), Polynomial.zero(target.n_vars)) for vec in kernel)
+        sizes.append((len(gens), len(kernel)))
+        if kernel:
+            face_blocks.append(dataclasses.replace(block, generators=tuple(combos)))
     return blocks, tuple(face_blocks), zeros, tuple(sizes)
 
 
@@ -467,6 +521,24 @@ class TestFaceGridBound:
         report = driver.certify(spec)
         assert report.outcome == driver.OUTCOME_CERTIFICATE
 
+    def test_grid_signs_at_the_bound_take_bounded_memory(self):
+        # (x0^4 + ... + x9^4)*g^3 has 1,750 terms, signed at all 3^10 - 1
+        # grid points: a monomial table over them all takes 0.8 GB, and its
+        # absolute value as much again; the float pass holds slices of
+        # FLOAT_PASS_ENTRIES entries
+        n_vars = gram.FACE_GRID_VARS
+        f = sum((Polynomial.monomial(n_vars, [4 * (j == i) for j in range(n_vars)]) for i in range(n_vars)), Polynomial.zero(n_vars))
+        g = sum_of_squared_variables(n_vars)
+        assert len(f * g**3) == 1750
+        tracemalloc.start()
+        try:
+            system = build_reduced_system(f, g, 3, (), Grading.single(n_vars))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(system, GramSystem) and system.face == ()  # no grid zero
+        assert peak < 2**28
+
     def test_boundary_target_at_the_bound_is_restricted(self):
         n_vars = gram.FACE_GRID_VARS
         variables = [f"x{i}" for i in range(n_vars)]
@@ -474,5 +546,6 @@ class TestFaceGridBound:
         system = build_reduced_system(f, Polynomial.one(n_vars), 0, (), Grading.single(n_vars))
         zeros, sizes = system.face
         assert set(zeros) == {(1, 1) + (0,) * (n_vars - 2), (-1, -1) + (0,) * (n_vars - 2)}
-        (b, before), = sizes
-        assert before == 2 and system.blocks[b].generators == (parse_polynomial("x0 - x1", variables),)
+        # the class of x0 and x1, even on x2..x9, comes first and alone has rows
+        assert sizes == ((2, 1),)
+        assert system.blocks[0].generators == (parse_polynomial("x0 - x1", variables),)
