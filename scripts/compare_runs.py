@@ -2,12 +2,12 @@
 
 One line per run: its name, the outcome, every scan record (exponent,
 status, rounding attempts, note, repr of t*) and the sha256 of the
-certificate text, after the certificate has been re-checked by
-``verify_certificate``.  Then one line per ``dump-sdp`` output, with the
-sha256 of its bytes and, in plain text, its ``blocks`` line of block sizes,
-of each problem at the exponents its mode scans first: n = 0, 1 in certify
-and epsilon-margin mode, n = 0 in check-sos mode and m = 1, 3 in odd-power
-mode.  Last, one line per ``positivity_precheck`` run, with its (negative,
+certificate text with its length in bytes, after the certificate has been
+re-checked by ``verify_certificate``.  Then one line per ``dump-sdp``
+output, with the sha256 of its bytes and, in plain text, its ``blocks`` line
+of block sizes, of each problem at the exponents its mode scans first: n = 0,
+1 in certify and epsilon-margin mode, n = 0 in check-sos mode and m = 1, 3 in
+odd-power mode.  Last, one line per ``positivity_precheck`` run, with its (negative,
 zero, kept, total): each bundled problem at seeds 0 and 7, the random sums
 of squares, and at seeds 0 and 7 an indefinite form and a polynomial
 negative only near one grid point.  Two versions of the program that print
@@ -113,7 +113,8 @@ def _search_line(name: str, spec) -> str:
     cert = "-"
     if report.certificate is not None:
         assert pc.verify_certificate(report.certificate).valid, name
-        cert = _digest(pc.format_certificate(report.certificate))
+        text = pc.format_certificate(report.certificate)
+        cert = f"{_digest(text)} {len(text.encode())}"
     return f"{name} {report.outcome} {records} {cert}"
 
 

@@ -54,7 +54,8 @@ def _add_search_arguments(sub, with_m_max=False):
         "--denom-bound",
         type=int,
         default=None,
-        help="largest denominator bound of the rounding ladder",
+        metavar="B",
+        help="last rung of the rounding ladder: Gram entries are rounded to multiples of 1/B",
     )
     sub.add_argument("--force", action="store_true", help="search even when the precheck objects")
     sub.add_argument("--out", default=None, help="write the certificate to this file")

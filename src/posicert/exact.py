@@ -1,10 +1,11 @@
 """Exact rational certification: rounding, projection, LDL', verification.
 
 The numeric layer hands over an interior Gram point; this layer rounds it to
-rationals, projects back onto the exact affine constraint set, proves
-positive semidefiniteness by a rational LDL' factorization, extracts weighted
-squares, and re-proves the final polynomial identity from scratch with pure
-polynomial arithmetic.  Nothing double-precision survives into a Certificate.
+multiples of 1/bound (one denominator per rung of the ladder), projects back
+onto the exact affine constraint set, proves positive semidefiniteness by a
+rational LDL' factorization, extracts weighted squares, and re-proves the
+final polynomial identity from scratch with pure polynomial arithmetic.
+Nothing double-precision survives into a Certificate.
 """
 
 from __future__ import annotations
@@ -44,10 +45,14 @@ class InconsistentSystemError(Exception):
 
 
 def round_to_rational(matrix, denominator_bound: int):
-    """Entrywise best rational approximation with bounded denominator.
+    """Each entry the nearest multiple of 1/denominator_bound, ties to even.
 
-    The input is symmetrized first; continued-fraction convergents via
-    ``ratlin.limit_denominator`` give the optimal approximation.
+    Entry (i, j) is rounded from the exact symmetric average
+    (a_ij + a_ji)/2 of the float input, so the output is symmetric and every
+    entry's denominator divides the bound.  One denominator for the whole
+    block (Peyrl-Parrilo 2008) keeps the projection, the LDL' and the
+    certificate on small integers: an entrywise best approximation gives
+    each entry its own denominator, and their lcm grows at every pivot.
     """
     if denominator_bound < 1:
         raise ValueError("denominator bound must be positive")
@@ -56,7 +61,7 @@ def round_to_rational(matrix, denominator_bound: int):
     for i in range(n):
         for j in range(i, n):
             average = (Fraction(float(matrix[i][j])) + Fraction(float(matrix[j][i]))) / 2
-            out[i][j] = out[j][i] = ratlin.limit_denominator(average, denominator_bound)
+            out[i][j] = out[j][i] = Fraction(round(average * denominator_bound), denominator_bound)
     return out
 
 

@@ -5,8 +5,9 @@ One kernel does all the elimination: `_eliminate` reduces sparse rows
 column, and `_back_substitute` solves the reduced rows for given values of
 the free columns.  `row_reduce` keeps the first, `nullspace` and
 `solve_dense` use both; a dense matrix (a list of Fraction lists) enters as
-sparse rows.  `limit_denominator` is the one rationalizer, and
-`limit_denominators` runs its walk over an array of floats at once.
+sparse rows.  `limit_denominator` is the one best-approximation
+rationalizer, and `limit_denominators` runs its walk over an array of floats
+at once.
 Everything here is exact; the sizes are desk scale (a few hundred rows at
 most).
 """

@@ -1,7 +1,9 @@
 """Command line interface and exit codes."""
 
 import dataclasses
+import itertools
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -496,6 +498,37 @@ def test_sign_classes_merge_into_one_certificate_block(name, document, tmp_path)
     path.write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "posicert.cli", "verify", str(path)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "Valid" in proc.stdout
+
+
+def _stall_sos_document(label: str) -> str:
+    """Four squares of dense ternary cubics, integer coefficients in [-3, 3]
+    drawn from ``random.Random(label)`` by exponent, left unexpanded."""
+    rng = random.Random(label)
+    squares = []
+    for _ in range(4):
+        coeffs = {e: rng.randint(-3, 3) for e in itertools.product(range(4), repeat=3) if sum(e) <= 3}
+        terms = []
+        for exps, c in coeffs.items():
+            if c:
+                mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", exps) if e)
+                terms.append(f"{c}*{mono}" if mono else str(c))
+        squares.append("(" + " + ".join(terms).replace("+ -", "- ") + ")^2")
+    return f'vars = x, y, z\nf = "{" + ".join(squares)}"\nmode = check-sos\n'
+
+
+@pytest.mark.parametrize("label", ["stall:106", "stall:148"])
+def test_check_sos_writes_a_certificate_that_verifies_in_a_separate_process(label, tmp_path, capsys):
+    # rounding each Gram entry to its own best denominator gave these
+    # certificates a weight of over 4300 digits, too long for str() to print
+    problem, out = tmp_path / "sos.txt", tmp_path / "sos.cert"
+    problem.write_text(_stall_sos_document(label))
+    assert cli.main(["check-sos", str(problem), "--force", "--out", str(out)]) == 0
+    assert "exact certificate at n = 0" in capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "posicert.cli", "verify", str(out)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "Valid" in proc.stdout

@@ -73,6 +73,21 @@ class TestCertify:
         assert report.certificate.n == 0
         assert verify_certificate(report.certificate).valid
 
+    def test_square_under_two_constraints_certifies_at_zero(self):
+        # the margin solve ends borderline (t* about -4e-10) and the blocks
+        # whose multiplier holds x^2 - y^2 keep a zero eigenvalue; rounding
+        # on one denominator per rung still lands on a PSD point at n = 0
+        spec = make_spec(
+            "(x^2 - y^2)^2",
+            XY,
+            constraints=(parse_polynomial("x*y", XY), parse_polynomial("x^2 - y^2", XY)),
+            n_max=1,
+        )
+        report = certify(spec)
+        assert report.outcome == "certificate"
+        assert report.certificate.n == 0
+        assert verify_certificate(report.certificate).valid
+
     def test_check_sos_pins_n_and_drops_constraints(self):
         spec = make_spec(
             "x^2 + y^2",
@@ -319,7 +334,7 @@ class TestPrecheck:
         draws = random.Random(3)
         values = [draws.gauss(0.0, 1.0) for _ in range(2000)]
         values += [0.0, -0.0, 0.5, -2.5e-5, 5e-5, 1 / 3, 1e-300, -1e300, 5e-324, 2.0**52 + 0.5]
-        # round_to_rational's inputs: averages of two floats, exact Fractions
+        # exact Fractions: averages of two floats
         values += [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(values[:1000], values[1000:2000])]
         values += [Fraction(1, 3), Fraction(-7, 2), Fraction(10**30 + 1, 10**30), Fraction(0)]
         for bound in (1, 2, 7, 10**4, 10**12):
@@ -769,17 +784,18 @@ def test_numerical_failure_propagates(monkeypatch):
 # SHA-256 of format_certificate for fast runs: any change to the arithmetic
 # or to the Gram point that moves a byte of a certificate fails here.  The
 # sign-symmetric Motzkin pins were taken once the search split each block by
-# sign class; the other two are older and held through that split
+# sign class.  The perturbed Motzkin and odd-power pins were retaken once
+# rounding put each rung on one denominator; the other two held through it
 PINNED_CERTIFICATES = {
     "motzkin_g_check_sos": (
         'vars = x, y, z\nf = "(x^4*y^2 + x^2*y^4 + z^6 - 3*x^2*y^2*z^2)*(x^2 + y^2 + z^2)"\nmode = check-sos\n',
         "e2a6b74978dfb4caa948f6096845c3cc97d68e31a97386462a6d79a75091d1e5",
     ),
-    "perturbed_motzkin.txt": (None, "5b230b4d6f18a9cef21afcbf36ffab7bc10ad28109b30838bf36dc3f699db91d"),
+    "perturbed_motzkin.txt": (None, "0d73d38968a7f116b79ef9219e762a14d08a1aebc43abc0c3b6ac7a8953f2ece"),
     "constrained_example.txt": (None, "dfe27d7f671327c9504912c56e25c8dfe129377b460811dc1b84b5b7e28d750d"),
     "odd_power_m1": (
         'vars = x, y\nf = "x^4 + y^4 + x^2*y^2 - x*y^3"\nmode = odd-power\nm_max = 1\n',
-        "2f70ba3f0e87e2561832c72a6f025067aef22d088cb9fbeac18f8f569069bbb1",
+        "59d3482ff13ff82f45db8f33986b6544b08f7790bc553561a7e5864dc56d4e44",
     ),
 }
 

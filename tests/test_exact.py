@@ -39,40 +39,48 @@ def frac_matrix(rows):
     return [[F(v) for v in row] for row in rows]
 
 
+def grid_reference(a, b, bound):
+    """round(bound * (a + b)/2) / bound from the exact average of two floats,
+    a tie going to the even neighbour, by floor and remainder."""
+    x = (F(float(a)) + F(float(b))) / 2 * bound
+    k = math.floor(x)
+    rest = x - k
+    if rest > F(1, 2) or (rest == F(1, 2) and k % 2):
+        k += 1
+    return F(k, bound)
+
+
 class TestRoundToRational:
     def test_half(self):
         assert round_to_rational([[0.5]], 10)[0][0] == F(1, 2)
 
     def test_third(self):
-        assert round_to_rational([[0.3333333333]], 100)[0][0] == F(1, 3)
+        # the nearest multiple of 1/100, not the simpler 1/3
+        assert round_to_rational([[0.3333333333]], 100)[0][0] == F(33, 100)
+        assert round_to_rational([[0.6666666667]], 100)[0][0] == F(67, 100)
+        assert round_to_rational([[0.3333333333]], 3)[0][0] == F(1, 3)
 
     def test_pi_convergent(self):
-        # brute-force oracle over all denominators up to 1000
-        best = None
-        for q in range(1, 1001):
-            p = round(math.pi * q)
-            err = abs(math.pi - p / q)
-            if best is None or err < best[1]:
-                best = (F(p, q), err)
-        assert best[0] == F(355, 113)
-        assert round_to_rational([[math.pi]], 1000)[0][0] == F(355, 113)
+        # brute-force oracle over the multiples of 1/1000: the convergent
+        # 355/113, whose denominator does not divide 1000, is not on the grid
+        nearest = min((F(p, 1000) for p in range(3000, 3300)), key=lambda c: abs(F(math.pi) - c))
+        assert nearest == F(1571, 500) == grid_reference(math.pi, math.pi, 1000)
+        assert round_to_rational([[math.pi]], 1000)[0][0] == F(1571, 500)
+
+    def test_ties_go_to_even(self):
+        for value, expected in ((0.5, 0), (1.5, 2), (2.5, 2), (-0.5, 0), (-1.5, -2)):
+            assert round_to_rational([[value]], 1)[0][0] == expected
+        # the tie is in the exact average, not in either entry
+        assert round_to_rational([[0.0, 0.25], [0.75, 0.0]], 1)[0][1] == 0
+        assert round_to_rational([[0.0, 1.0], [2.0, 0.0]], 1)[1][0] == 2
 
     def test_symmetrizes(self):
         out = round_to_rational([[1.0, 0.30], [0.31, 1.0]], 1000)
         assert out[0][1] == out[1][0] == F(61, 200)
 
     def test_matches_averaging_every_entry(self):
-        # reference: the exact average of all n^2 entry pairs, then each
-        # upper entry rationalized and mirrored
-        def reference(matrix, bound):
-            n = len(matrix)
-            sym = [[(F(float(matrix[i][j])) + F(float(matrix[j][i]))) / 2 for j in range(n)] for i in range(n)]
-            out = [[F(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    out[i][j] = out[j][i] = ratlin.limit_denominator(sym[i][j], bound)
-            return out
-
+        # reference: the exact average of every entry pair, rounded to the
+        # grid of multiples of 1/bound by floor and remainder
         rng = np.random.default_rng(20)
         for trial in range(200):
             n = int(rng.integers(1, 9))
@@ -80,7 +88,27 @@ class TestRoundToRational:
             if trial % 2:
                 matrix = matrix + matrix.T  # symmetric inputs too
             bound = 10 ** int(rng.integers(2, 13))
-            assert round_to_rational(matrix, bound) == reference(matrix, bound)
+            expected = [[grid_reference(matrix[i][j], matrix[j][i], bound) for j in range(n)] for i in range(n)]
+            assert round_to_rational(matrix, bound) == expected
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    st.integers(1, 10**12),
+)
+@settings(max_examples=200)
+def test_rounding_is_on_one_grid_within_half_a_step(matrix, bound):
+    # every entry is a multiple of 1/bound within 1/(2*bound) of the exact average
+    out = round_to_rational(matrix, bound)
+    for i, row in enumerate(matrix):
+        for j, a in enumerate(row):
+            average = (F(a) + F(matrix[j][i])) / 2
+            assert (bound * out[i][j]).denominator == 1
+            assert abs(out[i][j] - average) <= F(1, 2 * bound)
 
 
 def circle_system():
