@@ -42,6 +42,7 @@ ROBINSON = (
 G_XYZ = "x^2 + y^2 + z^2"
 ODD_POWER = ("x^2 + y^2", "x^2*y^2*(x^2 + y^2 - 1)^2 + 1/100", "x^4 + x^3", "x^4 + y^4 + x^2*y^2 - x*y^3")
 MIXED_H = '"1", "x + 2", "x^2 + y^2 - 1", "x*y + 3"'  # not graded, of degrees 0, 1, 2, 2
+EPSILON = "2*x^2 + x*y + 3*y^2"
 CHECK_SOS_WITH_H = 'vars = x, y\nf = "(x^2 - y^2)^2"\nh = ["x*y"]\nmode = check-sos\n'
 FIRST_EXPONENTS = {"certify": (0, 1), "check-sos": (0,), "odd-power": (1, 3), "epsilon-margin": (0, 1)}
 SEARCHES = {"certify": pc.certify, "check-sos": pc.certify, "odd-power": pc.odd_power, "epsilon-margin": pc.epsilon_margin}
@@ -60,6 +61,10 @@ def _documents():
     yield "mixed_h", f'vars = x, y\nf = "x^4 + y^4 + 1"\nh = [{MIXED_H}]\nmode = certify\nn_max = 1\n'
     for f in ODD_POWER:
         yield f"odd[{f}]", f'vars = x, y\nf = "{f}"\nmode = odd-power\nm_max = 3\n'
+    # certifies epsilon = 71/12 from epsilon* = 7.888, where a 1/16 grid would give 95/16
+    yield f"epsilon[{EPSILON}]", (
+        f'vars = x, y\nf = "{EPSILON}"\ng = "x^2 + y^2"\nh_margin = "x*y"\nmode = epsilon-margin\nn_max = 1\n'
+    )
     yield from _dumped()
 
 

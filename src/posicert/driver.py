@@ -52,7 +52,6 @@ from .gram import (
 )
 from .parsing import ProblemSpec
 from .poly import SignFilter
-from .ratlin import limit_denominator, limit_denominators
 
 DEFAULT_DENOMINATOR_BOUNDS = (10**2, 10**4, 10**8, 10**12)
 
@@ -387,7 +386,7 @@ def _shrink_rationalize(value: float) -> Fraction:
     """
     target = 0.75 * value
     for bound in (16, 1024, 10**6, 10**9):
-        candidate = limit_denominator(target, bound)
+        candidate = Fraction(target).limit_denominator(bound)
         if 0 < candidate <= Fraction(0.8 * value):
             return candidate
     return Fraction(target)
@@ -409,27 +408,28 @@ class PrecheckResult:
 
 _GRID_RESOLUTION = {1: 21, 2: 21, 3: 21, 4: 9, 5: 5, 6: 5}
 _PRECHECK_BATCH = 256  # points per float pass: larger batches only cost memory
-_PRECHECK_DRAWS = 1024  # draws rounded by one batched walk, whose cost is mostly per call
 
 
 def _sample_batches(n_vars: int, samples: int, graded: bool, seed: int):
     """The precheck's sample points in draw order, in batches of at most
     ``_PRECHECK_BATCH`` points: pairs (numerators, denominators) of integer
-    arrays, one row per point, each coordinate in lowest terms.  The draws
-    are made ``_PRECHECK_DRAWS`` at a time, as the stream reaches them."""
+    arrays, one row per point, each coordinate in lowest terms.  Each draw
+    is rounded to the nearest multiple of 10^-4, and the draws are made one
+    batch at a time, as the stream reaches them."""
     rng = random.Random(seed)
-    for start in range(0, samples, _PRECHECK_DRAWS):
-        count = min(_PRECHECK_DRAWS, samples - start)
-        draws = limit_denominators([rng.gauss(0.0, 1.0) for _ in range(count * n_vars)], 10**4)
-        num, den = (a.reshape(count, n_vars) for a in draws)
-        nonzero = (num != 0).any(axis=1)
-        num, den = num[nonzero], den[nonzero]
+    per_batch = _PRECHECK_BATCH // (1 if graded else 3)
+    for start in range(0, samples, per_batch):
+        count = min(per_batch, samples - start)
+        draws = np.array([rng.gauss(0.0, 1.0) for _ in range(count * n_vars)]).reshape(count, n_vars)
+        num = np.rint(draws * 10**4).astype(np.int64)
+        num = num[(num != 0).any(axis=1)]
+        common = np.gcd(num, 10**4)
+        num, den = num // common, 10**4 // common
         if not graded:  # v, v/4, 4v per draw; num/den is in lowest terms, so only factors of 4 cancel
             quarter, four = np.gcd(num, 4), np.gcd(den, 4)
             num = np.stack([num, num // quarter, 4 * num // four], axis=1).reshape(-1, n_vars)
             den = np.stack([den, 4 * den // quarter, den // four], axis=1).reshape(-1, n_vars)
-        for first in range(0, len(num), _PRECHECK_BATCH):
-            yield num[first : first + _PRECHECK_BATCH], den[first : first + _PRECHECK_BATCH]
+        yield num, den
     res = _GRID_RESOLUTION.get(n_vars)
     if res is not None:  # the grid (i - half)/half over the cube, the last coordinate fastest
         half = (res - 1) // 2
@@ -445,7 +445,7 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     certify and epsilon-margin mode, whose identities hold a power of g.
 
     The points are ``samples`` Gaussian draws v, not normalized, with each
-    coordinate rounded to a denominator of at most 10^4: for a graded f the
+    coordinate rounded to the nearest multiple of 10^-4: for a graded f the
     sign on a ray is the sign anywhere on it, and a non-graded f is also
     tried at v/4 and 4v.  A deterministic grid on the parameter cube
     follows.  The points are drawn in batches of at most 256, as integer
@@ -478,7 +478,8 @@ def positivity_precheck(spec: ProblemSpec, samples: int = 1000, seed: int = 0) -
     kept = 0
     total = 0
     for num, den in _sample_batches(n, samples, graded, seed):
-        # the draws are below 9 in magnitude, so every |num| and den is below 2^53, as SignFilter requires
+        # |num| <= 4*(10^4*|draw| + 1/2) and den <= 4*10^4, and random.gauss's draws are below 9 in magnitude,
+        # so every |num| and den is below 2^53, as SignFilter requires
         feasible = (num != 0).any(axis=1)  # exactly the origin is skipped
         for h in constraints:
             feasible &= h.signs(num, den, feasible) >= 0

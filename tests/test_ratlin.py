@@ -3,10 +3,7 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from posicert import ratlin
 
@@ -86,35 +83,3 @@ def test_nullspace_exact():
         assert len(basis) == len(free)
         for vec, own in zip(basis, free):
             assert [vec[j] for j in free] == [Fraction(j == own) for j in free]
-
-
-def _assert_batched_rounding_is_scalar(values, bound):
-    num, den = ratlin.limit_denominators(values, bound)
-    assert len(num) == len(den) == len(values)
-    for x, p, q in zip(values, num.tolist(), den.tolist()):
-        expected = ratlin.limit_denominator(x, bound)
-        assert (p, q) == (expected.numerator, expected.denominator), (x, bound)
-
-
-# the fast path's exponent limits and its neighbours on both sides
-_LIMITS = [s * v for s in (1.0, -1.0) for v in (2.0**-10, 2.0**9)]
-_LIMITS += [np.nextafter(v, t) for v in _LIMITS for t in (0.0, 2 * v)]
-
-
-@pytest.mark.parametrize("bound", [1, 2, 7, 10**4, 2**31 - 1, 2**31, 10**12])
-def test_limit_denominators_is_the_scalar_rounding(bound):
-    draws = random.Random(3)
-    values = [draws.gauss(0.0, 1.0) for _ in range(5000)]
-    values += [0.0, -0.0, 0.5, 1e-300, 5e-324, -1e300, 2.0**52 + 0.5, 1 / 3, -2.5e-5]
-    values += _LIMITS
-    values += [k / 2**j for k in range(-64, 65, 3) for j in range(14)]  # dyadics, denominators to 2^13 < 10^4
-    _assert_batched_rounding_is_scalar(values, bound)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20),
-    st.sampled_from([1, 3, 100, 10**4, 10**8]),
-)
-def test_limit_denominators_property(values, bound):
-    _assert_batched_rounding_is_scalar(values, bound)
