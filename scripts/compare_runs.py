@@ -3,8 +3,11 @@
 One line per run: its name, the outcome, every scan record (exponent,
 status, rounding attempts, note, repr of t*) and the sha256 of the
 certificate text with its length in bytes, after the certificate has been
-re-checked by ``verify_certificate``.  Then one line per ``dump-sdp``
-output, with the sha256 of its bytes and, in plain text, its ``blocks`` line
+re-checked by ``verify_certificate``, then the sha256 of that text without
+its ``margin =`` line.  The margin is the float t*, so the second digest
+covers only the exact content: two versions whose solves differ only in
+t*'s last digits print the same one.  Then one line per ``dump-sdp`` output,
+with the sha256 of its bytes and, in plain text, its ``blocks`` line
 of block sizes, of each problem at the exponents its mode scans first: n = 0,
 1 in certify and epsilon-margin mode, n = 0 in check-sos mode and m = 1, 3 in
 odd-power mode.  Last, one line per ``positivity_precheck`` run, with its (negative,
@@ -119,7 +122,8 @@ def _search_line(name: str, spec) -> str:
     if report.certificate is not None:
         assert pc.verify_certificate(report.certificate).valid, name
         text = pc.format_certificate(report.certificate)
-        cert = f"{_digest(text)} {len(text.encode())}"
+        exact = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("margin = "))
+        cert = f"{_digest(text)} {len(text.encode())} {_digest(exact)}"
     return f"{name} {report.outcome} {records} {cert}"
 
 

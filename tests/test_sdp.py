@@ -1,7 +1,10 @@
 """Interior-point solver: analytic margins, a random feasible battery,
 weak duality along the iterates, and determinism."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from posicert import sdp
 
@@ -146,8 +149,10 @@ def test_blocks_of_one_size_are_solved_as_one_stack():
 def test_each_iterate_is_factored_once(monkeypatch):
     """The cone check's Cholesky factors of X and S are the only ones an
     iterate gets, and the scaling inverts each once: per stack of one block
-    size, at most two of each call per iterate, the start included."""
-    calls = {"cholesky": 0, "inv": 0}
+    size, at most two of each call per iterate, the start included.  The
+    Schur side is one QR of P' per iterate, whose R is inverted once and
+    serves every base solve, with no LU solve."""
+    calls = {"cholesky": 0, "inv": 0, "qr": 0, "solve": 0}
     for name in calls:
 
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -159,7 +164,41 @@ def test_each_iterate_is_factored_once(monkeypatch):
     assert sol.status == sdp.MARGIN_FEASIBLE and sol.iterations > 0
     bound = 2 * 2 * (sol.iterations + 1)  # two stacks: sizes 3 and 2
     assert 0 < calls["cholesky"] <= bound
-    assert 0 < calls["inv"] <= bound
+    assert 0 < calls["inv"] <= bound + sol.iterations  # and one R per iterate
+    assert 0 < calls["qr"] <= sol.iterations
+    assert calls["solve"] == 0
+
+
+def _symmetric_tensor(rng, m: int, d: int) -> np.ndarray:
+    tensor = rng.standard_normal((m, d, d))
+    for mat in tensor:
+        mat += mat.T.copy()
+    return tensor
+
+
+def test_validate_checks_symmetry_in_bounded_memory():
+    # a symmetric (595, 150, 150) tensor is 102 MiB: checked whole, its
+    # temporaries peak at about twice that; checked in slices of at most
+    # 2^20 entries, at a small fraction of it
+    tensor = _symmetric_tensor(np.random.default_rng(5), 595, 150)
+    problem = sdp.SdpProblem(block_dims=(150,), a_blocks=[tensor], c=np.ones(595), b=np.ones(595))
+    tracemalloc.start()
+    try:
+        problem.validate()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_validate_rejects_asymmetry_in_the_last_slice():
+    # 100 constraints of 150 x 150 are three slices of 46, 46 and 8
+    tensor = _symmetric_tensor(np.random.default_rng(6), 100, 150)
+    problem = sdp.SdpProblem(block_dims=(150,), a_blocks=[tensor], c=np.ones(100), b=np.ones(100))
+    problem.validate()
+    tensor[99, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="symmetric"):
+        problem.validate()
 
 
 def test_unbounded_free_scalar_is_numerical_failure():
