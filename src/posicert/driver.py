@@ -187,7 +187,7 @@ def exponent_system(spec: ProblemSpec, exponent: int):
     if spec.mode == "epsilon-margin":
         # no unknown of this monomial system is in two rows, so every row is
         # independent, with or without the column, and all of them are posed
-        system = build_gram_system(spec.f, spec.g, exponent + 1, (), spec.grading)
+        system = build_gram_system(spec.f, spec.g, exponent + 1, (), spec.grading, max_tensor_bytes=SDP_TENSOR_BYTES)
         if not isinstance(system, GramSystem):
             return system, None
         eps_poly = spec.g**exponent * (spec.h_margin * spec.h_margin)
@@ -195,7 +195,7 @@ def exponent_system(spec: ProblemSpec, exponent: int):
             return SupportInfeasible("h^2 support not reachable at this degree"), None
         return system, {k: c for k, ev in enumerate(system.monomials) if (c := eps_poly.coefficient(ev))}
     f, g, constraints, n = _identity(spec, exponent)
-    return build_reduced_system(f, g, n, constraints, spec.grading), None
+    return build_reduced_system(f, g, n, constraints, spec.grading, SDP_TENSOR_BYTES), None
 
 
 # ---------------------------------------------------------------------------

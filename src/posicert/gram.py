@@ -209,14 +209,23 @@ def prune_basis(candidates: Sequence[tuple], support) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _assemble(target: Polynomial, grading: Grading, blocks, face: tuple = ()):
+def _assemble(target: Polynomial, grading: Grading, blocks, face: tuple = (), max_tensor_bytes: Optional[int] = None):
     """Shared core: match every achievable monomial, check support, reduce.
 
     Each unknown's product gen_i * m_e * gen_j, with gen_i * m_e formed once
     per generator, writes its coefficients straight into the rows of the
     monomials it reaches, doubled off the diagonal.
+
+    Before any row is formed, a system whose dense SDP tensors, 8*m*sum(d^2)
+    bytes, must exceed max_tensor_bytes is refused with a ValueError.  The
+    bound takes m >= max(d): a block's d generators are independent and its
+    multiplier h^e is nonzero, so the d products h^e*b_1*b_j are independent
+    images of the Gram map.
     """
     dims = [len(block.generators) for block in blocks]
+    if max_tensor_bytes is not None and 8 * max(dims) * sum(d * d for d in dims) > max_tensor_bytes:
+        sizes = f"block sizes {dims}, at least {max(dims)} rows"
+        raise ValueError(f"system too large for the dense SDP: {sizes}, over {max_tensor_bytes} bytes")
     layout = tuple((b, i, j) for b, d in enumerate(dims) for i in range(d) for j in range(i, d))
     scaled = [[gen * block.multiplier for gen in block.generators] for block in blocks]
     by_monomial = {}
@@ -301,16 +310,19 @@ def build_gram_system(
     constraints: Sequence[Polynomial],
     grading: Grading,
     prune: bool = True,
+    max_tensor_bytes: Optional[int] = None,
 ):
     """Build the matching system for f*g^n against the given constraints.
 
-    Returns a GramSystem, or ParityInfeasible / SupportInfeasible.
+    Returns a GramSystem, or ParityInfeasible / SupportInfeasible.  A system
+    whose dense SDP would exceed max_tensor_bytes is refused before assembly
+    (see ``_assemble``).
     """
     built = _blocks(f, g, n, constraints, grading, prune)
     if isinstance(built, ParityInfeasible):
         return built
     target, blocks = built
-    return _assemble(target, grading, blocks)
+    return _assemble(target, grading, blocks, max_tensor_bytes=max_tensor_bytes)
 
 
 def _sign_classes(target: Polynomial, blocks, constraints) -> tuple:
@@ -335,7 +347,9 @@ def _sign_classes(target: Polynomial, blocks, constraints) -> tuple:
     return tuple(split)
 
 
-def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading):
+def build_reduced_system(
+    f: Polynomial, g: Polynomial, n: int, constraints, grading: Grading, max_tensor_bytes: Optional[int] = None
+):
     """The system the search solves: ``build_gram_system``'s pruned blocks,
     split by sign class (``_sign_classes``), restricted to the face at the
     target's real zeros, assembled once.
@@ -355,7 +369,8 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
     after), ...)) on the face, one pair per block with a row in block order,
     and (zeros, ()) when the face is empty or infeasible and the full system
     of the same split blocks is kept.  A block the face empties leaves the
-    system.
+    system.  A system whose dense SDP would exceed max_tensor_bytes is
+    refused before assembly (see ``_assemble``).
     """
     built = _blocks(f, g, n, constraints, grading, prune=True)
     if isinstance(built, ParityInfeasible):
@@ -383,13 +398,13 @@ def build_reduced_system(f: Polynomial, g: Polynomial, n: int, constraints, grad
         if gens:
             face_blocks.append(replace(block, generators=gens))
     if not sizes:
-        return _assemble(target, grading, blocks)
+        return _assemble(target, grading, blocks, max_tensor_bytes=max_tensor_bytes)
     zeros = tuple(map(tuple, grid[on_face].tolist()))
     if face_blocks:
-        system = _assemble(target, grading, face_blocks, (zeros, tuple(sizes)))
+        system = _assemble(target, grading, face_blocks, (zeros, tuple(sizes)), max_tensor_bytes)
         if isinstance(system, GramSystem):
             return system
-    return _assemble(target, grading, blocks, (zeros, ()))
+    return _assemble(target, grading, blocks, (zeros, ()), max_tensor_bytes)
 
 
 def reconstruct(system: GramSystem, matrices: Mapping) -> Polynomial:

@@ -19,6 +19,8 @@ factors of X and S that check it lies in the cone give the NT scaling and,
 each inverted once, the step lengths of the predictor and the corrector;
 the Schur complement M = P P' gets one QR of P', and the inverse of its
 factor R, formed once, makes every solve with R'R two matrix-vector products.
+These products are too small to share between threads, so a solve runs on
+one thread of numpy's OpenBLAS and then restores the caller's thread count.
 
 In the margin encoding used by the certificate search the solved X equals
 Q - t*I blockwise, where t = u is the margin being maximized, so t* > 0
@@ -46,8 +48,12 @@ NUMERICAL_FAILURE.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -138,9 +144,86 @@ def _cone_factors(stacks: Sequence[np.ndarray]) -> list:
     return factors
 
 
+class _BlasPin:
+    """Context manager that holds an OpenBLAS pool at one thread and restores
+    the caller's count on exit.  Entries from several Python threads share
+    one pin: the first saves the count, the last restores it."""
+
+    def __init__(self, get_threads, set_threads):
+        self.get_threads = get_threads
+        self.set_threads = set_threads
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get_threads()
+                self.set_threads(1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set_threads(self._saved)
+
+
+_OPENBLAS_THREAD_ENTRY_POINTS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_pin() -> Optional[_BlasPin]:
+    """The pin of the OpenBLAS bundled with numpy, or None where there is none
+    (numpy on MKL or Accelerate, say), and the solve runs as the caller set it.
+
+    The library is opened by its path in numpy's wheel (``numpy.libs`` beside
+    the package), which returns the instance numpy already loaded, so the
+    pin acts whatever OPENBLAS_NUM_THREADS says and whenever numpy was
+    imported.  Looked up on the first solve, not at import.
+    """
+    directory = os.path.dirname(np.__file__) + ".libs"
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return None
+    for name in names:
+        if "openblas" not in name:
+            continue
+        try:
+            lib = ctypes.CDLL(os.path.join(directory, name))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_ENTRY_POINTS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return _BlasPin(get_threads, set_threads)
+    return None
+
+
 def solve(problem: SdpProblem, gap_tolerance: float = 1e-8, max_iterations: int = 100) -> SdpSolution:
     """Run the interior-point iteration until the relative duality gap and
-    the primal/dual residuals all drop below gap_tolerance."""
+    the primal/dual residuals all drop below gap_tolerance.
+
+    The solve runs on one thread of numpy's OpenBLAS and restores the
+    caller's thread count when it returns or raises.  A second thread spends
+    CPU time and saves no wall time here.  The results do not depend on the
+    caller's count.
+    """
+    pin = _blas_pin()
+    if pin is None:
+        return _solve(problem, gap_tolerance, max_iterations)
+    with pin:
+        return _solve(problem, gap_tolerance, max_iterations)
+
+
+def _solve(problem: SdpProblem, gap_tolerance: float, max_iterations: int) -> SdpSolution:
     problem.validate()
     dims = problem.block_dims
     m = problem.n_constraints

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from posicert import cli, driver, sdp
+from posicert import cli, driver, ratlin, sdp
 from posicert.exact import format_certificate, lift_certificate, parse_certificate
 from posicert.gram import build_gram_system, build_reduced_system
 from posicert.parsing import MAX_DEGREE, parse_problem
@@ -469,6 +469,33 @@ def test_split_system_fits_a_budget_its_unsplit_system_exceeds(monkeypatch, caps
         driver.system_to_sdp(unsplit)
     assert cli.main(["certify", str(PROBLEMS / "perturbed_motzkin.txt"), "--force"]) == 0
     assert "exact certificate at n = 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, budget, sizes",
+    [
+        # the smallest n the real budget refuses before assembly; m is at least 351
+        pytest.param(
+            ["dump-sdp", str(PROBLEMS / "perturbed_motzkin.txt"), "--n", "47"],
+            None,
+            "[351, 325, 325, 325], at least 351",
+            id="perturbed_motzkin_n47",
+        ),
+        # the epsilon stage's unsplit system, under a budget below its 8*4*4^2 bytes
+        pytest.param(
+            ["dump-sdp", str(PROBLEMS / "epsilon_example.txt"), "--n", "1"], 100, "[4], at least 4", id="epsilon_stage"
+        ),
+    ],
+)
+def test_oversized_system_is_refused_before_assembly(argv, budget, sizes, monkeypatch, capsys):
+    def row_reduce(*args):
+        raise AssertionError("a system over the budget was assembled")
+
+    monkeypatch.setattr(ratlin, "row_reduce", row_reduce)
+    if budget is not None:
+        monkeypatch.setattr(driver, "SDP_TENSOR_BYTES", budget)
+    assert cli.main(argv) == 3
+    assert f"input error: system too large for the dense SDP: block sizes {sizes} rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

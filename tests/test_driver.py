@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import pathlib
 import random
@@ -782,6 +783,27 @@ def test_solver_does_not_claim_inconsistent_systems():
     )
     solution = sdp.solve(problem, 1e-8, 60)
     assert solution.status in (sdp.NUMERICAL_FAILURE, sdp.MAX_ITERATIONS)
+
+
+def test_independent_rows_outnumber_every_block():
+    # the size refusal before assembly takes m >= max(d): a block's d
+    # generators are independent and its multiplier is nonzero, so its d
+    # products h^e*b_1*b_j are independent rows.  Checked on every problem
+    # scripts/compare_runs.py runs, at the exponents its mode scans first
+    path = PROBLEMS.parent / "scripts" / "compare_runs.py"
+    loader = importlib.util.spec_from_file_location("compare_runs", path)
+    compare_runs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(compare_runs)
+    specs = [parse_problem(text) for _, text in compare_runs._documents()]
+    specs += [spec for _, spec in compare_runs._random_sos(8, 733)]
+    systems = 0
+    for spec in specs:
+        for n in compare_runs.FIRST_EXPONENTS[spec.mode]:
+            system, _ = driver.exponent_system(spec, n)
+            if isinstance(system, GramSystem):
+                assert len(system.independent) >= max(system.block_dim(b) for b in system.active_indices)
+                systems += 1
+    assert systems >= 40
 
 
 def test_numerical_failure_propagates(monkeypatch):

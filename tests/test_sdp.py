@@ -1,12 +1,16 @@
 """Interior-point solver: analytic margins, a random feasible battery,
-weak duality along the iterates, and determinism."""
+weak duality along the iterates, determinism, and the OpenBLAS thread pin."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from posicert import sdp
+from test_cli import _stall_sos_document
 
 
 def margin_problem_2x2(offdiag: float) -> sdp.SdpProblem:
@@ -211,11 +215,7 @@ def test_unbounded_free_scalar_is_numerical_failure():
         assert sdp.solve(problem).status == sdp.NUMERICAL_FAILURE
 
 
-def test_single_threaded_determinism():
-    rng = np.random.default_rng(11)
-    problem, _ = random_margin_instance(rng)
-    first = sdp.solve(problem, 1e-8, 60)
-    second = sdp.solve(problem, 1e-8, 60)
+def _assert_bit_identical(first: sdp.SdpSolution, second: sdp.SdpSolution) -> None:
     assert first.t_star == second.t_star
     assert first.iterations == second.iterations
     assert first.trace == second.trace
@@ -223,6 +223,90 @@ def test_single_threaded_determinism():
         assert np.array_equal(a, b)
     for a, b in zip(first.s_blocks, second.s_blocks):
         assert np.array_equal(a, b)
+    assert np.array_equal(first.y, second.y)
+
+
+def test_two_solves_in_one_process_are_bit_identical():
+    problem, _ = random_margin_instance(np.random.default_rng(11))
+    _assert_bit_identical(sdp.solve(problem, 1e-8, 60), sdp.solve(problem, 1e-8, 60))
+
+
+@pytest.fixture
+def blas_pin():
+    """numpy's OpenBLAS pin, the caller's thread count restored after the test."""
+    pin = sdp._blas_pin()
+    if pin is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    before = pin.get_threads()
+    yield pin
+    pin.set_threads(before)
+
+
+def test_solve_restores_the_callers_blas_thread_count(blas_pin):
+    problem, _ = random_margin_instance(np.random.default_rng(12))
+    blas_pin.set_threads(2)
+    assert sdp.solve(problem).converged
+    assert blas_pin.get_threads() == 2
+    # and when the solve raises
+    with pytest.raises(ValueError, match="symmetric"):
+        sdp.solve(sdp.SdpProblem(block_dims=(2,), a_blocks=[np.array([[[0.0, 1.0], [0.0, 0.0]]])],
+                                 c=np.ones(1), b=np.ones(1)))
+    assert blas_pin.get_threads() == 2
+
+
+def test_solve_runs_on_one_blas_thread(blas_pin, monkeypatch):
+    seen = []
+
+    def recorded(*args, _real=np.linalg.qr, **kwargs):
+        seen.append(blas_pin.get_threads())
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    blas_pin.set_threads(2)
+    sol = sdp.solve(three_block_problem(), 1e-8, 50)
+    assert sol.iterations > 0 and seen == [1] * len(seen) and len(seen) >= sol.iterations
+
+
+def test_solve_ignores_the_callers_blas_thread_count(blas_pin):
+    problem, _ = random_margin_instance(np.random.default_rng(13))
+    solutions = []
+    for threads in (1, 2):
+        blas_pin.set_threads(threads)
+        solutions.append(sdp.solve(problem, 1e-8, 60))
+    _assert_bit_identical(*solutions)
+
+
+_DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from posicert import driver, sdp
+from posicert.parsing import parse_problem
+system, _ = driver.exponent_system(parse_problem(sys.stdin.read()), 0)
+problem = driver.system_to_sdp(system)
+sol = sdp.solve(problem)
+digest = hashlib.sha256(repr((sol.status, sol.t_star, sol.iterations)).encode())
+for array in (*sol.x_blocks, *sol.s_blocks, sol.y):
+    digest.update(np.ascontiguousarray(array).tobytes())
+print(list(problem.block_dims), problem.n_constraints, digest.hexdigest())
+"""
+
+
+def test_solve_is_bit_identical_across_openblas_thread_settings():
+    # one sos_batch-sized solve (a block of 20, 84 rows) in two processes
+    # started with OPENBLAS_NUM_THREADS 1 and 2
+    document = _stall_sos_document("threads:1")
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _DIGEST_SCRIPT], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(document, timeout=60)
+        assert proc.returncode == 0, err
+        outputs.append(out)
+    assert outputs[0].startswith("[20] 84 ")
+    assert outputs[0] == outputs[1]
 
 
 def test_debug_dump_round_trips_floats():
